@@ -52,7 +52,7 @@ TABLE1 = (
     (4 / 5, 2 / 3),
 )
 
-BASELINE_KINDS = ("BT2008", "DELYON", "IMPROVED", "AZUMA_IDLA", "GAUSS_AR")
+BASELINE_KINDS = ("BT2008", "IMPROVED", "AZUMA_IDLA", "GAUSS_AR")
 
 
 def _check_weight(a: float) -> None:
@@ -192,18 +192,18 @@ def _gauss_ar_root(x: float) -> float:
 def baseline_bound(kind: str, x: float, aux: float) -> float:
     """Baseline tail bounds used for comparison tables.
 
-    kind selects the formula; aux is the variation level y for BT2008,
-    DELYON and IMPROVED, and the horizon n for AZUMA_IDLA and GAUSS_AR.
+    kind selects the formula; aux is the variation level y for BT2008 and
+    IMPROVED, and the horizon n for AZUMA_IDLA and GAUSS_AR.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
     if x <= 0.0:
         raise ValueError("x must be positive")
-    if kind in ("BT2008", "DELYON", "IMPROVED"):
+    if kind in ("BT2008", "IMPROVED"):
         y = aux
         if y <= 0.0:
             raise ValueError("y must be positive")
-        rate = {"BT2008": 0.5, "DELYON": 1.5, "IMPROVED": 8.0 / 9.0}[kind]
+        rate = {"BT2008": 0.5, "IMPROVED": 8.0 / 9.0}[kind]
         return _cap(2.0 * math.exp(-rate * x * x / y))
     n = int(aux)
     if n < 1 or n != aux:

@@ -16,36 +16,11 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, bounds, montecarlo
 from .bounds import TABLE1
-from .montecarlo import CompareConfig, Functional, TailEvent
-from .processes import (
-    AR1Spec,
-    IDLASpec,
-    LearnSpec,
-    simulate,
-    trace_to_csv,
-)
+from .processes import PROCESSES, make_spec, simulate, trace_to_csv
 
 DEFAULT_A_GRID = (0.13, 0.2, 1 / 3, 9 / 16, 1.0, 2.0, 10.0)
-
-VERIFY_IDS = (
-    "hermite",
-    "kearns-saul",
-    "weighted-tail",
-    "ratio-tail",
-    "pqv-ratio",
-    "missing-factor",
-    "ar-estimator",
-    "ar-laplace",
-    "idla-scaled",
-    "idla-sqrt",
-    "learn-threshold",
-    "learn-phi",
-    "supermartingale",
-)
 
 
 def parse_real(text: str) -> float:
@@ -87,7 +62,9 @@ def _add_process_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--x-grid", type=parse_real_list, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The selfnorm parser; defaults, when given, replace the flag defaults
+    of every subcommand."""
     parser = argparse.ArgumentParser(prog="selfnorm")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -104,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(h)
 
     s = subs.add_parser("simulate", help="emit one process trace")
-    s.add_argument("process", choices=("ar1", "idla", "learn"))
+    s.add_argument("process", choices=tuple(PROCESSES))
     _add_process_flags(s)
     _add_common(s)
 
     v = subs.add_parser("verify", help="verify one implemented inequality")
-    v.add_argument("inequality", choices=VERIFY_IDS)
-    v.add_argument("--process", choices=("ar1", "idla", "learn"), default=None)
+    v.add_argument("inequality", choices=tuple(montecarlo.CHECKS))
+    v.add_argument("--process", choices=tuple(PROCESSES), default=None)
     v.add_argument("--a-grid", default="default")
     _add_process_flags(v)
     _add_common(v)
@@ -121,29 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--delta", type=parse_real, default=0.2)
     t.add_argument("--r-grid", type=parse_real_list, default=None)
     _add_common(t)
+    for sub in subs.choices.values():
+        sub.set_defaults(**(defaults or {}))
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  A --config file supplies flag defaults, so explicit flags
+    win, and its string values go through the flags' own parsers."""
+    args = build_parser().parse_args(argv)
     if not getattr(args, "config", None):
-        return
+        return args
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+    for key in cfg:
+        if not hasattr(args, key.replace("-", "_")):
             raise ValueError(f"unknown config key {key!r}")
-        if attr in explicit:
-            continue
-        if attr in ("x_grid", "r_grid", "a_list") and isinstance(value, str):
-            value = parse_real_list(value)
-        elif isinstance(value, str) and attr not in ("a_grid", "format", "out", "process"):
-            value = parse_real(value)
-        setattr(args, attr, value)
+    return build_parser({k.replace("-", "_"): v for k, v in cfg.items()}).parse_args(argv)
 
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
@@ -178,20 +149,6 @@ def _a_grid(args: argparse.Namespace):
     return tuple(parse_real_list(args.a_grid))
 
 
-def _spec_from_args(args: argparse.Namespace, process: str):
-    if process == "ar1":
-        return AR1Spec(p=args.p, theta=args.theta, n=args.n)
-    if process == "idla":
-        return IDLASpec(n=args.n)
-    return LearnSpec(
-        theta_star=args.theta_star,
-        eta=args.eta,
-        gamma0=args.gamma0,
-        c0=args.c0,
-        n=args.n,
-    )
-
-
 def run_weights(args: argparse.Namespace) -> int:
     if args.table1:
         rows = [
@@ -206,34 +163,8 @@ def run_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_hermite(args: argparse.Namespace) -> int:
-    x_max = getattr(args, "x_max", 50.0)
-    x_steps = getattr(args, "x_steps", 100_001)
-    xs = np.linspace(-x_max, x_max, x_steps)
-    rows = []
-    violation = False
-    for a in _a_grid(args):
-        b = bounds.weight_b(a)
-        margin = (1.0 + xs + 0.5 * b * xs * xs) - np.exp(xs - 0.5 * a * xs * xs)
-        disc = bounds.pab_discriminant(a, b)
-        min_margin = float(margin.min())
-        ok = min_margin >= -1e-12 and abs(disc) <= 1e-10
-        violation |= not ok
-        rows.append(
-            {
-                "a": a,
-                "min_margin": min_margin,
-                "argmin_x": float(xs[int(margin.argmin())]),
-                "discriminant_at_b": disc,
-                "satisfied": ok,
-            }
-        )
-    _emit(rows, args)
-    return 1 if violation else 0
-
-
 def run_simulate(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args, args.process)
+    spec = make_spec(args.process, args)
     trace = simulate(spec, args.seed)
     if args.format == "csv":
         text = trace_to_csv(trace)
@@ -256,239 +187,13 @@ def run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rows_satisfied(rows: list[dict]) -> bool:
-    return all(r.get("satisfied", True) for r in rows)
-
-
-def _verify_kearns_saul(args) -> list[dict]:
-    rows = []
-    s = np.linspace(-20.0, 20.0, 4001)
-    for p in (0.01, 0.1, 1 / 3, 0.499, 0.5):
-        q = 1.0 - p
-        lhs = p * np.exp(q * s) + q * np.exp(-p * s)
-        rhs = np.exp(bounds.kearns_saul_phi(p) * s * s / 4.0)
-        worst = float(np.max(lhs / rhs))
-        rows.append({"p": p, "max_ratio": worst, "satisfied": worst <= 1.0 + 1e-12})
-    return rows
-
-
-def _verify_tail_events(args, kind: str) -> list[dict]:
-    process = args.process or "idla"
-    spec = _spec_from_args(args, process)
-    a = args.a
-    reps = args.reps or 100_000
-    finals = montecarlo.simulate_finals(spec, args.seed, reps, args.workers)
-    c = bounds.weight_c(a)
-    s = finals["qv"] + c * finals["pqv"]
-    rows = []
-    if kind == "weighted-tail":
-        y = float(np.median(s))
-        x_grid = args.x_grid or [float(np.quantile(np.abs(finals["m"]), q)) for q in (0.5, 0.9, 0.99)]
-        for x in x_grid:
-            event = TailEvent("mart-abs", x=x, y=y, a=a)
-            est = montecarlo.summarize_indicators(
-                montecarlo.event_indicator(spec, event, finals), args.alpha, args.seed
-            )
-            bound = bounds.exp_tail_bound(x, y, a)
-            rows.append(_bound_row(x, {"weighted": bound}, est, y=y))
-    elif kind == "ratio-tail":
-        y = float(np.median(s))
-        ratio = np.abs(finals["m"]) / s
-        x_grid = args.x_grid or [float(np.quantile(ratio, q)) for q in (0.5, 0.9, 0.99)]
-        for x in x_grid:
-            event = TailEvent("mart-ratio", x=x, y=y, a=a)
-            est = montecarlo.summarize_indicators(
-                montecarlo.event_indicator(spec, event, finals), args.alpha, args.seed
-            )
-            bound = bounds.ratio_tail_bound(x, y, a)
-            rows.append(_bound_row(x, {"weighted": bound}, est, y=y))
-    elif kind == "pqv-ratio":
-        margin = c * finals["pqv"] - finals["qv"]
-        y = float(np.median(margin))
-        if y <= 0.0:
-            raise ValueError(
-                "c(a)<M>_n - [M]_n is not positive at the median; pick a larger a"
-            )
-        ratio = np.abs(finals["m"]) / finals["pqv"]
-        x_grid = args.x_grid or [float(np.quantile(ratio, q)) for q in (0.5, 0.9, 0.99)]
-        for x in x_grid:
-            event = TailEvent("mart-pqv-ratio", x=x, y=y, a=a)
-            est = montecarlo.summarize_indicators(
-                montecarlo.event_indicator(spec, event, finals), args.alpha, args.seed
-            )
-            bound = bounds.pqv_ratio_bound(x, y, a)
-            rows.append(_bound_row(x, {"weighted": bound}, est, y=y))
-    else:  # missing-factor
-        if process != "idla":
-            raise ValueError("missing-factor verification runs on the idla process")
-        from .processes import idla_exact_moments
-
-        _, em2 = idla_exact_moments(spec.n)
-        x_grid = args.x_grid or [1.0, 1.5, 2.0, 2.5]
-        for x in x_grid:
-            event = TailEvent("mart-missing", x=x, a=a, p=2.0, moment=em2)
-            est = montecarlo.summarize_indicators(
-                montecarlo.event_indicator(spec, event, finals), args.alpha, args.seed
-            )
-            _, bound = bounds.missing_factor_bound(x, 2.0)
-            rows.append(_bound_row(x, {"missing-factor": bound}, est))
-    return rows
-
-
-def _bound_row(x, cols: dict, est, y=None) -> dict:
-    row = {"x": x}
-    if y is not None:
-        row["y"] = y
-    for name, value in cols.items():
-        row[f"bound_{name}"] = value
-    row.update(
-        {
-            "p_hat": est.p_hat,
-            "ci_lo": est.ci_lo,
-            "ci_hi": est.ci_hi,
-            "n_samples": est.n_samples,
-            "satisfied": all(est.ci_lo <= v for v in cols.values()),
-        }
-    )
-    return row
-
-
-def _verify_compare(args, process: str) -> list[dict]:
-    spec = _spec_from_args(args, process)
-    if process == "ar1":
-        limit = math.sqrt(args.a * bounds.ar_rate(args.a, spec.p))
-        x_grid = args.x_grid or [f * limit for f in (0.05, 0.1, 0.2, 0.4)]
-    else:
-        x_grid = args.x_grid or [0.1, 0.2, 0.3, 0.4]
-    reps = args.reps or 100_000
-    cfg = CompareConfig(
-        a=args.a, n_samples=reps, seed=args.seed, alpha=args.alpha, workers=args.workers
-    )
-    rows = []
-    for r in montecarlo.compare_bounds(spec, x_grid, cfg):
-        cols = {name: r.bounds[name] for name in r.bounds}
-        row = {"x": r.x}
-        for name, value in cols.items():
-            row[f"bound_{name}"] = value
-        row.update(
-            {
-                "p_hat": r.empirical.p_hat,
-                "ci_lo": r.empirical.ci_lo,
-                "ci_hi": r.empirical.ci_hi,
-                "n_samples": r.empirical.n_samples,
-                "satisfied": r.satisfied,
-            }
-        )
-        rows.append(row)
-    return rows
-
-
-def _verify_idla_sqrt(args) -> list[dict]:
-    spec = IDLASpec(n=args.n)
-    reps = args.reps or 100_000
-    finals = montecarlo.simulate_finals(spec, args.seed, reps, args.workers)
-    x_grid = args.x_grid or [0.5, 1.0, 1.5, 2.0]
-    rows = []
-    for x in x_grid:
-        _, sqrt_bound = bounds.idla_bounds(x, spec.n, args.a)
-        est = montecarlo.summarize_indicators(
-            montecarlo.event_indicator(spec, TailEvent("idla-sqrt", x=x), finals),
-            args.alpha,
-            args.seed,
-        )
-        rows.append(_bound_row(x, {"sqrt-scaled": sqrt_bound}, est))
-    return rows
-
-
-def _verify_ar_laplace(args) -> list[dict]:
-    spec = AR1Spec(p=args.p, theta=args.theta, n=args.n)
-    reps = args.reps or 10_000
-    rows = []
-    for divisor in (2.0, 4.0):
-        t = -1.0 / (divisor * spec.sigma2)
-        est = montecarlo.estimate_expectation(
-            spec, Functional("laplace-pqv", t=t), reps, args.seed, args.workers
-        )
-        rhs = math.exp(4.0 * spec.n * t * spec.p**2 * spec.sigma2)
-        rel_se = est.se / est.mean if est.mean > 0 else 0.0
-        ok = est.mean <= rhs * (1.0 + 3.0 * rel_se)
-        rows.append(
-            {"t": t, "mc_mean": est.mean, "mc_se": est.se, "bound": rhs, "satisfied": ok}
-        )
-    return rows
-
-
-def _verify_learning_coverage(args, kind: str) -> list[dict]:
-    spec = _spec_from_args(args, "learn")
-    reps = args.reps or 10_000
-    event = TailEvent(kind, a=args.a, delta=args.delta)
-    est = montecarlo.estimate_event(
-        spec, event, reps, args.seed, args.alpha, args.workers
-    )
-    eps = montecarlo.hoeffding_epsilon(reps, args.alpha)
-    ok = est.p_hat <= args.delta + eps
-    return [
-        {
-            "delta": args.delta,
-            "p_hat": est.p_hat,
-            "ci_lo": est.ci_lo,
-            "ci_hi": est.ci_hi,
-            "n_samples": reps,
-            "satisfied": ok,
-        }
-    ]
-
-
-def _verify_supermartingale(args) -> list[dict]:
-    process = args.process or "idla"
-    spec = _spec_from_args(args, process)
-    reps = args.reps or 10_000
-    rows = []
-    for a in (1 / 3, 9 / 16):
-        for t in (-0.05, -0.01, -0.001, 0.001, 0.01, 0.05):
-            est = montecarlo.estimate_expectation(
-                spec, Functional("supermg-weight", t=t, a=a), reps, args.seed, args.workers
-            )
-            ok = est.mean <= 1.0 + 3.0 * est.se
-            rows.append(
-                {
-                    "process": process,
-                    "a": a,
-                    "t": t,
-                    "mc_mean": est.mean,
-                    "mc_se": est.se,
-                    "satisfied": ok,
-                }
-            )
-    return rows
-
-
-def run_verify(args: argparse.Namespace) -> int:
-    kind = args.inequality
-    if kind == "hermite":
-        return run_hermite(args)
-    if kind == "kearns-saul":
-        rows = _verify_kearns_saul(args)
-    elif kind in ("weighted-tail", "ratio-tail", "pqv-ratio", "missing-factor"):
-        rows = _verify_tail_events(args, kind)
-    elif kind == "ar-estimator":
-        rows = _verify_compare(args, "ar1")
-    elif kind == "ar-laplace":
-        rows = _verify_ar_laplace(args)
-    elif kind == "idla-scaled":
-        rows = _verify_compare(args, "idla")
-    elif kind == "idla-sqrt":
-        rows = _verify_idla_sqrt(args)
-    elif kind == "learn-threshold":
-        rows = _verify_learning_coverage(args, "learn-cover")
-    elif kind == "learn-phi":
-        rows = _verify_learning_coverage(args, "learn-phi")
-    elif kind == "supermartingale":
-        rows = _verify_supermartingale(args)
-    else:
-        raise ValueError(f"unknown inequality id {kind!r}")
+def run_check(args: argparse.Namespace, check_id: str) -> int:
+    """Evaluate one entry of the verification table and emit its rows."""
+    params = argparse.Namespace(**vars(args))
+    params.a_grid = _a_grid(args)
+    rows = montecarlo.verify(montecarlo.CHECKS[check_id], params)
     _emit(rows, args)
-    return 0 if _rows_satisfied(rows) else 1
+    return 0 if all(row["satisfied"] for row in rows) else 1
 
 
 def run_learning_table(args: argparse.Namespace) -> int:
@@ -519,19 +224,17 @@ def run_learning_table(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args, argv)
+        args = _parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
         if getattr(args, "workers", None) is None:
             args.workers = os.cpu_count()
         dispatch = {
             "weights": run_weights,
-            "hermite": run_hermite,
+            "hermite": lambda args: run_check(args, "hermite"),
             "simulate": run_simulate,
-            "verify": run_verify,
+            "verify": lambda args: run_check(args, args.inequality),
             "learning-table": run_learning_table,
         }
         return dispatch[args.command](args)

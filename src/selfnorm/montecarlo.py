@@ -1,9 +1,11 @@
-"""Monte Carlo tail estimation and bound-vs-empirical comparison.
+"""Monte Carlo tail estimation, bound-vs-empirical comparison, and the table
+of checks behind ``selfnorm verify``.
 
 Replicates are simulated in fixed-size chunks whose contents depend only on
-(spec, seed, replicate index), and chunk results are reduced in chunk order.
-Worker threads only change which chunk is computed when, never what it
-contains, so every estimate is bit-identical for any worker count.
+(spec, seed, replicate index), because every replicate draws from its own
+Philox stream; chunk results are concatenated in chunk order.  Worker threads
+only change which chunk is computed when, never what it contains, so every
+estimate is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +25,8 @@ from .processes import (
     LearnSpec,
     ProcessSpec,
     finals_kernel,
+    idla_exact_moments,
+    make_spec,
 )
 
 __all__ = [
@@ -37,10 +43,16 @@ __all__ = [
     "estimate_event",
     "estimate_expectation",
     "compare_bounds",
+    "Check",
+    "CHECKS",
+    "verify",
 ]
 
 # Replicates per simulation chunk; fixed so results never depend on workers.
 CHUNK = 4096
+
+# Fewest replicates an estimate accepts.
+MIN_REPS = 100
 
 # p-grid over which infimum-style bounds are minimized.
 P_GRID = (1.5, 2.0, 3.0, 4.0, 8.0)
@@ -95,8 +107,8 @@ def summarize_indicators(indicators: np.ndarray, alpha: float, seed: int) -> MCE
 def simulate_finals(
     spec: ProcessSpec, seed: int, n_samples: int, workers: int | None = None
 ) -> dict[str, np.ndarray]:
-    """End-of-horizon summaries for n_samples replicates, chunked and reduced
-    in fixed order."""
+    """End-of-horizon summaries for n_samples replicates, simulated in chunks
+    and concatenated in chunk order."""
     kernel = finals_kernel(spec)
     ranges = [(lo, min(lo + CHUNK, n_samples)) for lo in range(0, n_samples, CHUNK)]
     if workers is not None and workers > 1:
@@ -199,8 +211,8 @@ def estimate_event(
     workers: int | None = None,
 ) -> MCEstimate:
     """Estimate the probability of a tail event over independent replicates."""
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    if n_samples < MIN_REPS:
+        raise ValueError(f"n_samples must be at least {MIN_REPS}")
     finals = simulate_finals(spec, seed, n_samples, workers)
     return summarize_indicators(event_indicator(spec, event, finals), alpha, seed)
 
@@ -223,7 +235,6 @@ class Functional:
 
 def _mean_se(values: np.ndarray, seed: int) -> ExpectationEstimate:
     n = len(values)
-    # chunk-ordered compensated reduction keeps the result worker-independent
     mean = float(np.mean(values))
     var = float(np.mean((values - mean) ** 2))
     return ExpectationEstimate(mean=mean, se=math.sqrt(var / n), n_samples=n, seed=seed)
@@ -237,13 +248,19 @@ def estimate_expectation(
     workers: int | None = None,
 ) -> ExpectationEstimate:
     """Monte Carlo mean and standard error of a per-path functional."""
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    if n_samples < MIN_REPS:
+        raise ValueError(f"n_samples must be at least {MIN_REPS}")
     if functional.k is not None:
         if not 1 <= functional.k <= spec.n:
             raise ValueError(f"k must lie in [1, {spec.n}]")
         spec = type(spec)(**{**spec.__dict__, "n": functional.k})
-    finals = simulate_finals(spec, seed, n_samples, workers)
+    return _expectation(functional, simulate_finals(spec, seed, n_samples, workers), seed)
+
+
+def _expectation(
+    functional: Functional, finals: dict[str, np.ndarray], seed: int
+) -> ExpectationEstimate:
+    """Mean and standard error of a functional over simulated finals."""
     m, qv, pqv = finals["m"], finals["qv"], finals["pqv"]
     kind = functional.kind
     if kind == "supermg-weight":
@@ -263,7 +280,7 @@ def estimate_expectation(
             est = _mean_se(vals, seed)
             rhs = 2.0 * est.mean ** (1.0 / p)
             rhs_se = (2.0 / p) * est.mean ** (1.0 / p - 1.0) * est.se if est.mean > 0 else 0.0
-            cand = ExpectationEstimate(mean=rhs, se=rhs_se, n_samples=n_samples, seed=seed)
+            cand = ExpectationEstimate(mean=rhs, se=rhs_se, n_samples=est.n_samples, seed=seed)
             if best is None or cand.mean < best.mean:
                 best = cand
         return best
@@ -298,32 +315,27 @@ class BoundRow:
     empirical: MCEstimate | None = None
     satisfied: bool = True
 
+    def as_dict(self, y: float | None = None) -> dict:
+        """Output row: x, y when given, bound_<name> per bound, the estimate."""
+        head = {"x": self.x} if y is None else {"x": self.x, "y": y}
+        cols = {f"bound_{name}": value for name, value in self.bounds.items()}
+        return {**head, **cols, **_estimate_columns(self.empirical), "satisfied": self.satisfied}
 
-def _bound_columns(spec: ProcessSpec, x: float, cfg: CompareConfig):
-    a = cfg.a
-    if isinstance(spec, AR1Spec):
-        cols, dom = {}, []
-        limit = math.sqrt(a * bounds.ar_rate(a, spec.p))
-        if x <= limit:
-            cols["weighted"] = bounds.ar_bound(x, spec.n, spec.p, a)
-            dom.append("weighted")
-        cols["gauss-ar"] = bounds.baseline_bound("GAUSS_AR", x, spec.n)
-        return cols, tuple(dom), TailEvent("ar-estimator", x=x)
-    if isinstance(spec, IDLASpec):
-        scaled, _ = bounds.idla_bounds(x, spec.n, a)
-        cols = {
-            "weighted": scaled,
-            "azuma": bounds.baseline_bound("AZUMA_IDLA", x, spec.n),
-        }
-        return cols, ("weighted", "azuma"), TailEvent("idla-scaled", x=x)
-    if isinstance(spec, LearnSpec):
-        c = bounds.weight_c(a)
-        cols = {
-            "weighted": min(1.0, math.exp(-spec.n * x * x / (2.0 * a * (1.0 + c)))),
-            "cbc": min(1.0, math.exp(-spec.n * x * x / 2.0)),
-        }
-        return cols, ("weighted", "cbc"), TailEvent("learn-excess", x=x)
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+
+def _estimate_columns(est: MCEstimate) -> dict:
+    return {"p_hat": est.p_hat, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi, "n_samples": est.n_samples}
+
+
+def _bound_row(run, x: float, check: Check) -> BoundRow:
+    """The one place that decides whether a tail row holds: ci_lo must not
+    exceed any dominating bound."""
+    cols = {name: bound(run, x) for name, bound in check.bounds.items()}
+    cols = {name: value for name, value in cols.items() if value is not None}
+    dom = tuple(name for name in check.dominating or cols if name in cols)
+    event = TailEvent(check.event, x=x, y=run.y, a=run.a, moment=run.moment)
+    est = summarize_indicators(event_indicator(run.spec, event, run.finals), run.alpha, run.seed)
+    ok = all(est.ci_lo <= cols[name] for name in dom)
+    return BoundRow(x=x, bounds=cols, dominating=dom, empirical=est, satisfied=ok)
 
 
 def compare_bounds(spec: ProcessSpec, x_grid, config: CompareConfig) -> list[BoundRow]:
@@ -332,14 +344,228 @@ def compare_bounds(spec: ProcessSpec, x_grid, config: CompareConfig) -> list[Bou
     if not xs:
         raise ValueError("x_grid must be nonempty")
     finals = simulate_finals(spec, config.seed, config.n_samples, config.workers)
-    rows = []
-    for x in xs:
-        cols, dom, event = _bound_columns(spec, x, config)
-        est = summarize_indicators(
-            event_indicator(spec, event, finals), config.alpha, config.seed
-        )
-        ok = all(est.ci_lo <= cols[name] for name in dom)
-        rows.append(
-            BoundRow(x=x, bounds=cols, dominating=dom, empirical=est, satisfied=ok)
-        )
-    return rows
+    run = SimpleNamespace(**vars(config), spec=spec, finals=finals, y=None, moment=math.nan)
+    return [_bound_row(run, x, _COMPARE_CHECKS[type(spec)]) for x in xs]
+
+
+# x-grid rules, levels and bounds of tail checks; run holds the flag values
+# (a, alpha, seed, ...), the process spec and finals, y and moment.
+
+
+def _quantiles(statistic: Callable):
+    """The 0.5, 0.9 and 0.99 quantiles of a per-replicate statistic."""
+    return lambda run: [float(np.quantile(statistic(run), q)) for q in (0.5, 0.9, 0.99)]
+
+
+def _ar_limit(run) -> float:
+    """sqrt(a d(a)), where the AR estimator bound's range ends."""
+    return math.sqrt(run.a * bounds.ar_rate(run.a, run.spec.p))
+
+
+def _s(run) -> np.ndarray:
+    return run.finals["qv"] + bounds.weight_c(run.a) * run.finals["pqv"]
+
+
+def _set_y_median_s(run) -> None:
+    run.y = float(np.median(_s(run)))
+
+
+def _set_y_pqv_margin(run) -> None:
+    run.y = float(np.median(bounds.weight_c(run.a) * run.finals["pqv"] - run.finals["qv"]))
+    if run.y <= 0.0:
+        raise ValueError("c(a)<M>_n - [M]_n is not positive at the median; pick a larger a")
+
+
+def _set_idla_moment(run) -> None:
+    if not isinstance(run.spec, IDLASpec):
+        raise ValueError("missing-factor verification runs on the idla process")
+    run.moment = idla_exact_moments(run.spec.n)[1]
+
+
+# Row rules of the checks that are not tail checks
+
+
+def _hermite_row(run, a: float) -> dict:
+    # selfnorm hermite sets the x-range; verify hermite keeps these defaults
+    x_max = getattr(run, "x_max", 50.0)
+    xs = np.linspace(-x_max, x_max, getattr(run, "x_steps", 100_001))
+    b = bounds.weight_b(a)
+    margin = (1.0 + xs + 0.5 * b * xs * xs) - np.exp(xs - 0.5 * a * xs * xs)
+    disc = bounds.pab_discriminant(a, b)
+    min_margin = float(margin.min())
+    return {
+        "a": a,
+        "min_margin": min_margin,
+        "argmin_x": float(xs[int(margin.argmin())]),
+        "discriminant_at_b": disc,
+        "satisfied": min_margin >= -1e-12 and abs(disc) <= 1e-10,
+    }
+
+
+def _kearns_saul_row(run, p: float) -> dict:
+    s = np.linspace(-20.0, 20.0, 4001)
+    q = 1.0 - p
+    lhs = p * np.exp(q * s) + q * np.exp(-p * s)
+    rhs = np.exp(bounds.kearns_saul_phi(p) * s * s / 4.0)
+    worst = float(np.max(lhs / rhs))
+    return {"p": p, "max_ratio": worst, "satisfied": worst <= 1.0 + 1e-12}
+
+
+def _ar_laplace_row(run, divisor: float) -> dict:
+    spec = run.spec
+    t = -1.0 / (divisor * spec.sigma2)
+    est = _expectation(Functional("laplace-pqv", t=t), run.finals, run.seed)
+    rhs = math.exp(4.0 * spec.n * t * spec.p**2 * spec.sigma2)
+    rel_se = est.se / est.mean if est.mean > 0 else 0.0
+    ok = est.mean <= rhs * (1.0 + 3.0 * rel_se)
+    return {"t": t, "mc_mean": est.mean, "mc_se": est.se, "bound": rhs, "satisfied": ok}
+
+
+def _supermartingale_row(run, key: tuple[float, float]) -> dict:
+    a, t = key
+    est = _expectation(Functional("supermg-weight", t=t, a=a), run.finals, run.seed)
+    ok = est.mean <= 1.0 + 3.0 * est.se
+    return {
+        "process": run.process, "a": a, "t": t, "mc_mean": est.mean, "mc_se": est.se, "satisfied": ok
+    }
+
+
+def _coverage_row(kind: str):
+    """Rule of a learning check: the event's frequency at delta must not
+    exceed delta + epsilon."""
+
+    def row(run, delta: float) -> dict:
+        event = TailEvent(kind, a=run.a, delta=delta)
+        indicators = event_indicator(run.spec, event, run.finals)
+        est = summarize_indicators(indicators, run.alpha, run.seed)
+        ok = est.p_hat <= delta + hoeffding_epsilon(est.n_samples, run.alpha)
+        return {"delta": delta, **_estimate_columns(est), "satisfied": ok}
+
+    return row
+
+
+@dataclass(frozen=True)
+class Check:
+    """One ``selfnorm verify`` id.
+
+    process is simulated once per command (None: nothing is simulated), with
+    reps replicates unless --reps is given; any_process lets --process
+    replace it.  prepare(run) then sets the level y or the moment.  grid is
+    the tuple of row keys, or grid(run) computes them.  A tail check names
+    its event and maps each bound column to bound(run, x), None where the
+    bound does not apply; dominating (all when empty) are the bounds theory
+    guarantees, and --x-grid replaces its grid.  Any other check builds each
+    row with row(run, key).
+    """
+
+    process: str | None
+    reps: int
+    grid: tuple | Callable
+    event: str | None = None
+    bounds: dict[str, Callable] = field(default_factory=dict)
+    dominating: tuple[str, ...] = ()
+    row: Callable | None = None
+    prepare: Callable | None = None
+    any_process: bool = False
+
+
+_SUPERMG_GRID = tuple(
+    (a, t) for a in (1 / 3, 9 / 16) for t in (-0.05, -0.01, -0.001, 0.001, 0.01, 0.05)
+)
+
+# id: Check(process, reps, grid, [event, bound columns], ...)
+CHECKS = {
+    "hermite": Check(None, 0, lambda run: run.a_grid, row=_hermite_row),
+    "kearns-saul": Check(None, 0, (0.01, 0.1, 1 / 3, 0.499, 0.5), row=_kearns_saul_row),
+    "weighted-tail": Check(
+        "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"])), "mart-abs",
+        {"weighted": lambda run, x: bounds.exp_tail_bound(x, run.y, run.a)},
+        prepare=_set_y_median_s, any_process=True,
+    ),
+    "ratio-tail": Check(
+        "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"]) / _s(run)), "mart-ratio",
+        {"weighted": lambda run, x: bounds.ratio_tail_bound(x, run.y, run.a)},
+        prepare=_set_y_median_s, any_process=True,
+    ),
+    "pqv-ratio": Check(
+        "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"]) / run.finals["pqv"]),
+        "mart-pqv-ratio", {"weighted": lambda run, x: bounds.pqv_ratio_bound(x, run.y, run.a)},
+        prepare=_set_y_pqv_margin, any_process=True,
+    ),
+    "missing-factor": Check(
+        "idla", 100_000, (1.0, 1.5, 2.0, 2.5), "mart-missing",
+        {"missing-factor": lambda run, x: bounds.missing_factor_bound(x, 2.0)[1]},
+        prepare=_set_idla_moment, any_process=True,
+    ),
+    "ar-estimator": Check(
+        "ar1", 100_000, lambda run: [f * _ar_limit(run) for f in (0.05, 0.1, 0.2, 0.4)],
+        "ar-estimator",
+        {
+            "weighted": lambda run, x: (
+                bounds.ar_bound(x, run.spec.n, run.spec.p, run.a) if x <= _ar_limit(run) else None
+            ),
+            "gauss-ar": lambda run, x: bounds.baseline_bound("GAUSS_AR", x, run.spec.n),
+        },
+        dominating=("weighted",),
+    ),
+    "ar-laplace": Check("ar1", 10_000, (2.0, 4.0), row=_ar_laplace_row),
+    "idla-scaled": Check(
+        "idla", 100_000, (0.1, 0.2, 0.3, 0.4), "idla-scaled",
+        {
+            "weighted": lambda run, x: bounds.idla_bounds(x, run.spec.n, run.a)[0],
+            "azuma": lambda run, x: bounds.baseline_bound("AZUMA_IDLA", x, run.spec.n),
+        },
+    ),
+    "idla-sqrt": Check(
+        "idla", 100_000, (0.5, 1.0, 1.5, 2.0), "idla-sqrt",
+        {"sqrt-scaled": lambda run, x: bounds.idla_bounds(x, run.spec.n, run.a)[1]},
+    ),
+    "learn-threshold": Check(
+        "learn", 10_000, lambda run: [run.delta], row=_coverage_row("learn-cover")
+    ),
+    "learn-phi": Check("learn", 10_000, lambda run: [run.delta], row=_coverage_row("learn-phi")),
+    "supermartingale": Check(
+        "idla", 10_000, _SUPERMG_GRID, row=_supermartingale_row, any_process=True
+    ),
+}
+
+# compare_bounds on the learning process bounds the excess risk; no verify id
+# runs it.
+_LEARN_EXCESS = Check(
+    "learn", 0, (), "learn-excess",
+    {
+        "weighted": lambda run, x: min(
+            1.0, math.exp(-run.spec.n * x * x / (2.0 * run.a * (1.0 + bounds.weight_c(run.a))))
+        ),
+        "cbc": lambda run, x: min(1.0, math.exp(-run.spec.n * x * x / 2.0)),
+    },
+)
+_COMPARE_CHECKS = {
+    AR1Spec: CHECKS["ar-estimator"],
+    IDLASpec: CHECKS["idla-scaled"],
+    LearnSpec: _LEARN_EXCESS,
+}
+
+
+def verify(check: Check, params) -> list[dict]:
+    """Rows of one check for the command's flag values (params).
+
+    A simulated check runs its process once; every row reads those finals.
+    """
+    run = SimpleNamespace(**vars(params), y=None, moment=math.nan)
+    if check.process is not None:
+        reps = check.reps if params.reps is None else params.reps
+        if reps < MIN_REPS:
+            raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
+        run.process = (check.any_process and params.process) or check.process
+        run.spec = make_spec(run.process, params)
+        run.finals = simulate_finals(run.spec, params.seed, reps, params.workers)
+        if check.prepare is not None:
+            check.prepare(run)
+    if check.event is not None and params.x_grid:
+        keys = params.x_grid
+    else:
+        keys = check.grid(run) if callable(check.grid) else check.grid
+    if check.event is None:
+        return [check.row(run, key) for key in keys]
+    return [_bound_row(run, x, check).as_dict(run.y) for x in keys]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "AR1Spec",
     "IDLASpec",
     "LearnSpec",
+    "PROCESSES",
+    "make_spec",
     "ProcessTrace",
     "ar1_simulate",
     "idla_simulate",
@@ -109,6 +111,18 @@ class LearnSpec:
 
 
 ProcessSpec = AR1Spec | IDLASpec | LearnSpec
+
+# Process names as the command line spells them.
+PROCESSES = {"ar1": AR1Spec, "idla": IDLASpec, "learn": LearnSpec}
+
+
+def make_spec(process: str, params) -> ProcessSpec:
+    """Spec of the named process, each field read from the same-named
+    attribute of params."""
+    spec_type = PROCESSES.get(process)
+    if spec_type is None:
+        raise ValueError(f"unknown process {process!r}")
+    return spec_type(**{f.name: getattr(params, f.name) for f in fields(spec_type)})
 
 
 @dataclass(frozen=True)

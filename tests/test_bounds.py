@@ -197,8 +197,9 @@ class TestBaselines:
             assert got <= relaxed + 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            baseline_bound("NOPE", 1.0, 1.0)
+        for kind in ("NOPE", "DELYON"):
+            with pytest.raises(ValueError):
+                baseline_bound(kind, 1.0, 1.0)
         with pytest.raises(ValueError):
             baseline_bound("BT2008", -1.0, 1.0)
         with pytest.raises(ValueError):

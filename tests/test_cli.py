@@ -5,6 +5,8 @@ import pytest
 
 from selfnorm.cli import main, parse_real, parse_real_list
 from selfnorm.bounds import TABLE1
+from selfnorm import montecarlo
+from selfnorm.montecarlo import CHECKS
 
 
 def run(capsys, *argv):
@@ -130,6 +132,69 @@ class TestVerify:
         assert out1.read_bytes() == out3.read_bytes()
 
 
+TAIL_COLUMNS = "p_hat,ci_lo,ci_hi,n_samples,satisfied"
+MART_HEADER = f"x,y,bound_weighted,{TAIL_COLUMNS}"
+ALL_PROCESSES = ("ar1", "idla", "learn")
+
+# id: (CSV header, row count, --process values it runs on, size flags)
+VERIFY_CASES = {
+    "hermite": ("a,min_margin,argmin_x,discriminant_at_b,satisfied", 7, (), ()),
+    "kearns-saul": ("p,max_ratio,satisfied", 5, (), ()),
+    "weighted-tail": (MART_HEADER, 3, ALL_PROCESSES, ("--n", "30", "--reps", "2000")),
+    "ratio-tail": (MART_HEADER, 3, ALL_PROCESSES, ("--n", "30", "--reps", "2000")),
+    "pqv-ratio": (MART_HEADER, 3, ALL_PROCESSES, ("--n", "30", "--reps", "2000")),
+    "missing-factor": (
+        f"x,bound_missing-factor,{TAIL_COLUMNS}", 4, ("idla",), ("--n", "30", "--reps", "2000")
+    ),
+    "ar-estimator": (
+        f"x,bound_weighted,bound_gauss-ar,{TAIL_COLUMNS}", 4, (), ("--n", "30", "--reps", "2000")
+    ),
+    "ar-laplace": ("t,mc_mean,mc_se,bound,satisfied", 2, (), ("--n", "30", "--reps", "2000")),
+    "idla-scaled": (
+        f"x,bound_weighted,bound_azuma,{TAIL_COLUMNS}", 4, (), ("--n", "30", "--reps", "2000")
+    ),
+    "idla-sqrt": (f"x,bound_sqrt-scaled,{TAIL_COLUMNS}", 4, (), ("--n", "30", "--reps", "2000")),
+    "learn-threshold": (f"delta,{TAIL_COLUMNS}", 1, (), ("--n", "40", "--reps", "1000")),
+    "learn-phi": (f"delta,{TAIL_COLUMNS}", 1, (), ("--n", "40", "--reps", "300")),
+    "supermartingale": (
+        "process,a,t,mc_mean,mc_se,satisfied", 12, ALL_PROCESSES, ("--n", "30", "--reps", "2000")
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "check_id, process",
+    [(check_id, None) for check_id in CHECKS]
+    + [(check_id, p) for check_id in CHECKS for p in VERIFY_CASES[check_id][2]],
+)
+def test_every_verify_id(capsys, monkeypatch, check_id, process):
+    header, rows, _, size = VERIFY_CASES[check_id]
+    calls = []
+    simulate_finals = montecarlo.simulate_finals
+    monkeypatch.setattr(
+        montecarlo, "simulate_finals", lambda *a: calls.append(a) or simulate_finals(*a)
+    )
+    argv = ["verify", check_id, *size, "--seed", "3", "--workers", "1"]
+    if process:
+        argv += ["--process", process]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.split("\r\n")[0] == header
+    assert len(csv_rows(out)) == rows
+    # every row reads the finals of one simulation
+    assert len(calls) == (0 if CHECKS[check_id].process is None else 1)
+
+
+@pytest.mark.parametrize("check_id", ["idla-sqrt", "supermartingale"])
+@pytest.mark.parametrize("reps", ["0", "-5", "99"])
+def test_reps_below_floor_exits_2(capsys, check_id, reps):
+    code = main(["verify", check_id, "--n", "10", "--reps", reps])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: reps must be at least 100, got {reps}"]
+
+
 class TestLearningTable:
     def test_default(self, capsys):
         code, out = run(capsys, "learning-table")
@@ -174,6 +239,14 @@ class TestConfigFile:
         _, out_cfg = run(capsys, "simulate", "idla", "--n", "8", "--config", str(cfg))
         _, out_direct = run(capsys, "simulate", "idla", "--n", "8", "--seed", "9")
         assert out_cfg == out_direct
+
+    def test_flag_with_other_dest_wins(self, tmp_path, capsys):
+        # --a of weights stores into a_list; the config must not override it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a_list": "1/3"}))
+        code, out = run(capsys, "weights", "--a", "9/16", "--config", str(cfg))
+        assert code == 0
+        assert [float(r["a"]) for r in csv_rows(out)] == [9 / 16]
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from selfnorm.bounds import exp_tail_bound
 from selfnorm.montecarlo import (
+    Check,
     CompareConfig,
     Functional,
     TailEvent,
@@ -14,6 +16,7 @@ from selfnorm.montecarlo import (
     hoeffding_epsilon,
     simulate_finals,
     summarize_indicators,
+    verify,
 )
 from selfnorm.processes import AR1Spec, IDLASpec, LearnSpec, idla_exact_moments
 
@@ -181,3 +184,25 @@ class TestCompare:
         cfg = CompareConfig(a=1 / 3, n_samples=4096, seed=10)
         rows = compare_bounds(LEARN, [0.1, 0.2, 0.3], cfg)
         assert all(row.satisfied for row in rows)
+
+
+class TestVerify:
+    @staticmethod
+    def tail_row(bound_columns, dominating=()):
+        check = Check("idla", 0, (0.1,), "idla-scaled", bound_columns, dominating)
+        params = SimpleNamespace(
+            reps=1000, process=None, seed=1, workers=1, alpha=0.05, a=1 / 3, n=50, x_grid=None
+        )
+        return verify(check, params)[0]
+
+    def test_tail_pass_rule(self):
+        row = self.tail_row({"loose": lambda run, x: 1.0})
+        assert row["satisfied"]
+        assert 0.0 < row["ci_lo"] < row["p_hat"]
+        # ci_lo, not p_hat, is held against the bound
+        mid = (row["ci_lo"] + row["p_hat"]) / 2.0
+        assert self.tail_row({"mid": lambda run, x: mid})["satisfied"]
+        assert not self.tail_row({"zero": lambda run, x: 0.0})["satisfied"]
+        # a bound outside the dominating set never fails the row
+        both = {"zero": lambda run, x: 0.0, "loose": lambda run, x: 1.0}
+        assert self.tail_row(both, ("loose",))["satisfied"]
