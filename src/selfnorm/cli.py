@@ -43,7 +43,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--alpha", type=parse_real, default=0.05)
     sub.add_argument("--reps", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults")
@@ -228,8 +228,6 @@ def main(argv=None) -> int:
         args = _parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
-        if getattr(args, "workers", None) is None:
-            args.workers = os.cpu_count()
         dispatch = {
             "weights": run_weights,
             "hermite": lambda args: run_check(args, "hermite"),

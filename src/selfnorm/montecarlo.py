@@ -18,13 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds
+from . import bounds, processes
 from .processes import (
     AR1Spec,
     IDLASpec,
     LearnSpec,
     ProcessSpec,
-    finals_kernel,
     idla_exact_moments,
     make_spec,
 )
@@ -108,15 +107,28 @@ def simulate_finals(
     spec: ProcessSpec, seed: int, n_samples: int, workers: int | None = None
 ) -> dict[str, np.ndarray]:
     """End-of-horizon summaries for n_samples replicates, simulated in chunks
-    and concatenated in chunk order."""
-    kernel = finals_kernel(spec)
+    and concatenated in chunk order.
+
+    A non-finite summary (an overflowed or 0/0 statistic) is a configuration
+    error, never a sample: it raises ValueError naming each such key.
+    """
     ranges = [(lo, min(lo + CHUNK, n_samples)) for lo in range(0, n_samples, CHUNK)]
+    # processes.finals is looked up at call time, so a profiler may rebind it
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: kernel(spec, seed, r[0], r[1]), ranges))
+            parts = list(pool.map(lambda r: processes.finals(spec, seed, *r), ranges))
     else:
-        parts = [kernel(spec, seed, lo, hi) for lo, hi in ranges]
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        parts = [processes.finals(spec, seed, lo, hi) for lo, hi in ranges]
+    out = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    counts = {
+        k: int(np.count_nonzero(~np.isfinite(v)))
+        for k, v in out.items()
+        if np.issubdtype(v.dtype, np.floating)
+    }
+    bad = ", ".join(f"{k} in {count}" for k, count in counts.items() if count)
+    if bad:
+        raise ValueError(f"non-finite finals of {spec} over {n_samples} replicates: {bad}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,38 @@
 """Exact simulators for the three application processes.
 
-Each process exposes its martingale decomposition (per-step increments and
-conditional second moments) next to its own statistics.  Randomness comes
-from counter-based Philox streams keyed by (seed, replicate index), so every
-replicate is an independent, scheduling-free stream: results depend only on
-(spec, seed, replicate), never on worker count or evaluation order.
+Each process is written once, as one step of its martingale decomposition:
+``step(spec, x, u, k)`` maps the state before step k and that step's
+uniforms to ``(x_new, increment, cond_second_moment, terms)``, where terms
+are the step's summands of the process's own statistics.  A step uses only
+operators (and ``_clip01`` for the learner's clamp), so the same definition
+advances a Python float or a ``(B,)`` array of replicates.
 
-The vectorized ``*_finals`` kernels step a block of replicates at once and
-return only end-of-horizon summaries; the single-path ``*_simulate``
-functions replay replicate streams step by step and record full traces.
-Both use compensated accumulation in the same order, so a single-path trace
-agrees bit-for-bit with the corresponding row of a vectorized block.
+Two drivers run the steps.  :func:`finals` advances a block of replicates
+and keeps compensated running totals (``_kadd``) of the increments, their
+squares, the conditional second moments and the terms, from which it forms
+the end-of-horizon summaries.  :func:`simulate` advances one replicate on
+floats, records every step and sums the records with
+``martingale._kahan_cumsum``, the same compensated arithmetic in the same
+order; so the last entry of a trace equals its replicate's finals bit for
+bit.
+
+Randomness comes from counter-based Philox streams keyed by (seed,
+replicate index), with seed in [0, 2**63), so every replicate is an
+independent, scheduling-free stream: results depend only on (spec, seed,
+replicate), never on worker count or evaluation order.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, fields
+from array import array
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
-from .bounds import weight_c
-from .martingale import MartingalePath, accumulate
+from .martingale import MartingalePath, _kahan_cumsum, accumulate
 
 __all__ = [
     "AR1Spec",
@@ -31,6 +41,8 @@ __all__ = [
     "PROCESSES",
     "make_spec",
     "ProcessTrace",
+    "finals",
+    "simulate",
     "ar1_simulate",
     "idla_simulate",
     "learning_simulate",
@@ -145,251 +157,173 @@ class ProcessTrace:
 
 def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int) -> np.ndarray:
     """Uniform(0,1) draws for replicates rep_lo..rep_hi-1, one row each."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    # numpy stores key=[seed, rep] as float64 from 2**63 on, merging seeds
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
     out = np.empty((rep_hi - rep_lo, cols))
     for i, rep in enumerate(range(rep_lo, rep_hi)):
         out[i] = np.random.Generator(np.random.Philox(key=[seed, rep])).random(cols)
     return out
 
 
-def _kadd(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> None:
-    # one compensated-summation step, in place
+def _kadd(total, comp, x):
+    """One compensated-summation step; returns the new (total, comp)."""
     y = x - comp
     t = total + y
-    comp[:] = (t - total) - y
-    total[:] = t
-
-
-def ar1_finals(spec: AR1Spec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, np.ndarray]:
-    """End-of-horizon summaries for a block of autoregression replicates."""
-    u = uniform_rows(seed, rep_lo, rep_hi, spec.n)
-    B = rep_hi - rep_lo
-    p, q, s2 = spec.p, spec.q, spec.sigma2
-    x = np.ones(B)
-    m = np.zeros(B)
-    qv = np.zeros(B)
-    pqv = np.zeros(B)
-    sxx = np.zeros(B)
-    sxy = np.zeros(B)
-    comp = {k: np.zeros(B) for k in ("m", "qv", "pqv", "sxx", "sxy")}
-    sandwich_ok = np.ones(B, dtype=bool)
-    lo_ratio, hi_ratio = p / q, q / p
-    for k in range(1, spec.n + 1):
-        eps = np.where(u[:, k - 1] < p, 2.0 * q, -2.0 * p)
-        inc = x * eps
-        _kadd(m, comp["m"], inc)
-        _kadd(qv, comp["qv"], inc * inc)
-        _kadd(pqv, comp["pqv"], s2 * x * x)
-        _kadd(sxx, comp["sxx"], x * x)
-        x_new = spec.theta * x + eps
-        _kadd(sxy, comp["sxy"], x * x_new)
-        x = x_new
-        tol = 1e-9 * np.maximum(qv, pqv) + 1e-12
-        sandwich_ok &= (lo_ratio * pqv <= qv + tol) & (qv <= hi_ratio * pqv + tol)
-    return {
-        "m": m,
-        "qv": qv,
-        "pqv": pqv,
-        "theta_hat": sxy / sxx,
-        "sandwich_ok": sandwich_ok,
-    }
-
-
-def idla_finals(spec: IDLASpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, np.ndarray]:
-    """End-of-horizon summaries for a block of aggregation replicates."""
-    u = uniform_rows(seed, rep_lo, rep_hi, spec.n)
-    B = rep_hi - rep_lo
-    x = np.zeros(B)
-    m = np.zeros(B)
-    qv = np.zeros(B)
-    pqv = np.zeros(B)
-    comp = {k: np.zeros(B) for k in ("m", "qv", "pqv")}
-    for k in range(1, spec.n + 1):
-        p_up = (k + 1 - x) / (2.0 * (k + 1))
-        xi = np.where(u[:, k - 1] < p_up, 1.0, -1.0)
-        x_new = x + xi
-        inc = (k + 1) * x_new - k * x
-        _kadd(m, comp["m"], inc)
-        _kadd(qv, comp["qv"], inc * inc)
-        _kadd(pqv, comp["pqv"], (k + 1.0) ** 2 - x * x)
-        x = x_new
-    return {"m": m, "qv": qv, "pqv": pqv, "x": x}
+    return t, (t - total) - y
 
 
 def true_risk(c: float | np.ndarray, theta_star: float, eta: float):
     """Closed-form 0-1 risk of the threshold hypothesis h_c: eta + (1-2 eta)|c - theta_star|."""
-    return eta + (1.0 - 2.0 * eta) * np.abs(c - theta_star)
+    return eta + (1.0 - 2.0 * eta) * abs(c - theta_star)
 
 
-def learning_finals(spec: LearnSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, np.ndarray]:
-    """End-of-horizon summaries for a block of online-learning replicates."""
-    u = uniform_rows(seed, rep_lo, rep_hi, 2 * spec.n)
-    B = rep_hi - rep_lo
-    c = np.full(B, spec.c0)
-    m = np.zeros(B)
-    qv = np.zeros(B)
-    pqv = np.zeros(B)
-    sum_loss = np.zeros(B)
-    sum_risk = np.zeros(B)
-    comp = {k: np.zeros(B) for k in ("m", "qv", "pqv", "loss", "risk")}
-    for k in range(1, spec.n + 1):
-        xk = u[:, 2 * (k - 1)]
-        flip = u[:, 2 * (k - 1) + 1] < spec.eta
-        y = (xk >= spec.theta_star) ^ flip
-        pred = xk >= c
-        loss = (pred != y).astype(float)
-        risk = true_risk(c, spec.theta_star, spec.eta)
-        inc = risk - loss
-        _kadd(m, comp["m"], inc)
-        _kadd(qv, comp["qv"], inc * inc)
-        _kadd(pqv, comp["pqv"], risk * (1.0 - risk))
-        _kadd(sum_loss, comp["loss"], loss)
-        _kadd(sum_risk, comp["risk"], risk)
-        gamma = spec.gamma0 / math.sqrt(k)
-        c = np.clip(c + gamma * (pred.astype(float) - y.astype(float)), 0.0, 1.0)
+def _clip01(v):
+    # builtins on a float, np.clip on an array: the same bits either way
+    return min(1.0, max(0.0, v)) if isinstance(v, float) else np.clip(v, 0.0, 1.0)
+
+
+def _ar1_step(spec: AR1Spec, x, u, k):
+    eps = 2.0 * ((u[0] < spec.p) - spec.p)
+    x_new = spec.theta * x + eps
+    return x_new, x * eps, spec.sigma2 * x * x, (x * x, x * x_new)
+
+
+def _ar1_sandwich(spec: AR1Spec, qv, pqv):
+    """(p/q)<M>_k <= [M]_k <= (q/p)<M>_k, up to rounding."""
+    tol = 1e-9 * np.maximum(qv, pqv) + 1e-12
+    return (spec.p / spec.q * pqv <= qv + tol) & (qv <= spec.q / spec.p * pqv + tol)
+
+
+def _idla_step(spec: IDLASpec, x, u, k):
+    p_up = (k + 1 - x) / (2.0 * (k + 1))
+    x_new = x + (2.0 * (u[0] < p_up) - 1.0)
+    return x_new, (k + 1) * x_new - k * x, (k + 1.0) ** 2 - x * x, ()
+
+
+def _learning_step(spec: LearnSpec, c, u, k):
+    y = (u[0] >= spec.theta_star) ^ (u[1] < spec.eta)
+    pred = u[0] >= c
+    loss = 1.0 * (pred != y)
+    risk = true_risk(c, spec.theta_star, spec.eta)
+    c_new = _clip01(c + spec.gamma0 / math.sqrt(k) * (1.0 * pred - y))
+    return c_new, risk - loss, risk * (1.0 - risk), (loss, risk)
+
+
+def _ar1_series(spec: AR1Spec, xs, terms, sums):
+    # theta_hat is 0/0 before the first step
+    return {"x": xs, "theta_hat": np.concatenate(([np.nan], sums["sxy"][1:] / sums["sxx"][1:]))}
+
+
+def _idla_series(spec: IDLASpec, xs, terms, sums):
+    steps = np.arange(spec.n + 1, dtype=float)
+    return {"x": xs, "l": (xs - steps) / 2.0, "r": (xs + steps) / 2.0}
+
+
+def _learning_series(spec: LearnSpec, cs, terms, sums):
+    steps = np.maximum(np.arange(spec.n + 1), 1)  # both averages are 0 at step 0
     return {
-        "m": m,
-        "qv": qv,
-        "pqv": pqv,
-        "r_hat": sum_loss / spec.n,
-        "r_bar": sum_risk / spec.n,
+        "c": cs,
+        "true_risk": terms["risk"],
+        "loss": terms["loss"],
+        "r_hat": sums["loss"] / steps,
+        "r_bar": sums["risk"] / steps,
     }
 
 
-def ar1_simulate(spec: AR1Spec, seed: int, replicate: int = 0) -> ProcessTrace:
-    """Simulate one autoregression path with its full statistic series."""
-    u = uniform_rows(seed, replicate, replicate + 1, spec.n)[0]
-    p, q, s2 = spec.p, spec.q, spec.sigma2
-    xs = np.empty(spec.n + 1)
-    xs[0] = 1.0
-    inc = np.empty(spec.n)
-    csm = np.empty(spec.n)
-    theta_hat = np.empty(spec.n + 1)
-    theta_hat[0] = np.nan
-    sxx = np.zeros(1)
-    sxy = np.zeros(1)
-    cxx = np.zeros(1)
-    cxy = np.zeros(1)
+@dataclass(frozen=True)
+class _Dynamics:
+    """One process for the two drivers.
+
+    cols uniforms per step; the initial state init(spec); the step; the names
+    of its terms; finals(spec, x, totals) from the state and the term totals
+    at the horizon; series(spec, xs, terms, sums) from the recorded states,
+    terms and running term sums (states and sums include step 0); the trace
+    CSV columns; and invariants, name -> holds(spec, qv, pqv), which the
+    block driver checks after every step.
+    """
+
+    cols: int
+    init: Callable
+    step: Callable
+    terms: tuple[str, ...]
+    finals: Callable
+    series: Callable
+    columns: tuple[str, ...]
+    invariants: dict[str, Callable] = field(default_factory=dict)
+
+
+# spec type: _Dynamics(cols, init, step, terms, finals, series, columns[, invariants])
+_DYNAMICS = {
+    AR1Spec: _Dynamics(
+        1, lambda spec: 1.0, _ar1_step, ("sxx", "sxy"),
+        lambda spec, x, s: {"theta_hat": s["sxy"] / s["sxx"]},
+        _ar1_series, ("x", "theta_hat"), {"sandwich_ok": _ar1_sandwich},
+    ),
+    IDLASpec: _Dynamics(
+        1, lambda spec: 0.0, _idla_step, (), lambda spec, x, s: {"x": x},
+        _idla_series, ("x", "l", "r"),
+    ),
+    LearnSpec: _Dynamics(
+        2, lambda spec: spec.c0, _learning_step, ("loss", "risk"),
+        lambda spec, c, s: {"r_hat": s["loss"] / spec.n, "r_bar": s["risk"] / spec.n},
+        _learning_series, ("c", "r_hat", "r_bar"),
+    ),
+}
+
+
+def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, np.ndarray]:
+    """End-of-horizon summaries for the block of replicates rep_lo..rep_hi-1."""
+    dyn = _DYNAMICS[type(spec)]
+    B = rep_hi - rep_lo
+    # u[k - 1][i] is the i-th uniform of step k, one entry per replicate
+    u = uniform_rows(seed, rep_lo, rep_hi, spec.n * dyn.cols)
+    u = u.reshape(B, spec.n, dyn.cols).transpose(1, 2, 0)
+    x = np.full(B, dyn.init(spec))
+    # m, qv, pqv, then the terms
+    totals = [0.0] * (3 + len(dyn.terms))
+    comps = [0.0] * len(totals)
+    checks = {name: np.ones(B, dtype=bool) for name in dyn.invariants}
     for k in range(1, spec.n + 1):
-        eps = 2.0 * q if u[k - 1] < p else -2.0 * p
-        x_prev = xs[k - 1]
-        inc[k - 1] = x_prev * eps
-        csm[k - 1] = s2 * x_prev * x_prev
-        xs[k] = spec.theta * x_prev + eps
-        _kadd(sxx, cxx, np.array([x_prev * x_prev]))
-        _kadd(sxy, cxy, np.array([x_prev * xs[k]]))
-        theta_hat[k] = sxy[0] / sxx[0]
-    return ProcessTrace(
-        spec=spec,
-        seed=seed,
-        replicate=replicate,
-        increments=inc,
-        cond_second_moments=csm,
-        path=accumulate(inc, csm),
-        stats={"x": xs, "theta_hat": theta_hat},
-    )
-
-
-def idla_simulate(spec: IDLASpec, seed: int, replicate: int = 0) -> ProcessTrace:
-    """Simulate one aggregation path; reports X_k and the cluster ends L_k, R_k."""
-    u = uniform_rows(seed, replicate, replicate + 1, spec.n)[0]
-    xs = np.empty(spec.n + 1)
-    xs[0] = 0.0
-    inc = np.empty(spec.n)
-    csm = np.empty(spec.n)
-    for k in range(1, spec.n + 1):
-        x_prev = xs[k - 1]
-        p_up = (k + 1 - x_prev) / (2.0 * (k + 1))
-        xi = 1.0 if u[k - 1] < p_up else -1.0
-        xs[k] = x_prev + xi
-        inc[k - 1] = (k + 1) * xs[k] - k * x_prev
-        csm[k - 1] = (k + 1.0) ** 2 - x_prev * x_prev
-    steps = np.arange(spec.n + 1, dtype=float)
-    return ProcessTrace(
-        spec=spec,
-        seed=seed,
-        replicate=replicate,
-        increments=inc,
-        cond_second_moments=csm,
-        path=accumulate(inc, csm),
-        stats={"x": xs, "l": (xs - steps) / 2.0, "r": (xs + steps) / 2.0},
-    )
-
-
-def learning_simulate(spec: LearnSpec, seed: int, replicate: int = 0) -> ProcessTrace:
-    """Simulate one online-learning run with risk and loss series."""
-    u = uniform_rows(seed, replicate, replicate + 1, 2 * spec.n)[0]
-    cs = np.empty(spec.n + 1)
-    cs[0] = spec.c0
-    inc = np.empty(spec.n)
-    csm = np.empty(spec.n)
-    risks = np.empty(spec.n)
-    losses = np.empty(spec.n)
-    r_hat = np.empty(spec.n + 1)
-    r_bar = np.empty(spec.n + 1)
-    r_hat[0] = 0.0
-    r_bar[0] = 0.0
-    # compensated scalar sums so the series match the block kernel bitwise
-    sum_loss = np.zeros(1)
-    loss_comp = np.zeros(1)
-    sum_risk = np.zeros(1)
-    risk_comp = np.zeros(1)
-    for k in range(1, spec.n + 1):
-        c = cs[k - 1]
-        xk = u[2 * (k - 1)]
-        flip = u[2 * (k - 1) + 1] < spec.eta
-        y = (xk >= spec.theta_star) ^ flip
-        pred = xk >= c
-        loss = float(pred != y)
-        risk = float(true_risk(c, spec.theta_star, spec.eta))
-        inc[k - 1] = risk - loss
-        csm[k - 1] = risk * (1.0 - risk)
-        risks[k - 1] = risk
-        losses[k - 1] = loss
-        _kadd(sum_loss, loss_comp, np.asarray([loss]))
-        _kadd(sum_risk, risk_comp, np.asarray([risk]))
-        r_hat[k] = sum_loss[0] / k
-        r_bar[k] = sum_risk[0] / k
-        gamma = spec.gamma0 / math.sqrt(k)
-        cs[k] = min(1.0, max(0.0, c + gamma * (float(pred) - float(y))))
-    return ProcessTrace(
-        spec=spec,
-        seed=seed,
-        replicate=replicate,
-        increments=inc,
-        cond_second_moments=csm,
-        path=accumulate(inc, csm),
-        stats={
-            "c": cs,
-            "true_risk": risks,
-            "loss": losses,
-            "r_hat": r_hat,
-            "r_bar": r_bar,
-        },
-    )
+        x, inc, csm, terms = dyn.step(spec, x, u[k - 1], k)
+        for i, value in enumerate((inc, inc * inc, csm, *terms)):
+            totals[i], comps[i] = _kadd(totals[i], comps[i], value)
+        for name, holds in dyn.invariants.items():
+            checks[name] &= holds(spec, totals[1], totals[2])
+    m, qv, pqv, *sums = totals
+    stats = dyn.finals(spec, x, dict(zip(dyn.terms, sums)))
+    return {"m": m, "qv": qv, "pqv": pqv, **stats, **checks}
 
 
 def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
-    """Dispatch to the simulator matching the spec type."""
-    if isinstance(spec, AR1Spec):
-        return ar1_simulate(spec, seed, replicate)
-    if isinstance(spec, IDLASpec):
-        return idla_simulate(spec, seed, replicate)
-    if isinstance(spec, LearnSpec):
-        return learning_simulate(spec, seed, replicate)
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+    """One replicate stepped on floats, with every step recorded."""
+    dyn = _DYNAMICS[type(spec)]
+    # a memoryview hands out floats one at a time, and the array('d') records
+    # hold raw doubles, so no step keeps a Python object alive
+    u = memoryview(uniform_rows(seed, replicate, replicate + 1, spec.n * dyn.cols)[0])
+    x = dyn.init(spec)
+    states, records = array("d", [x]), array("d")
+    for k in range(1, spec.n + 1):
+        x, inc, csm, terms = dyn.step(spec, x, u[(k - 1) * dyn.cols : k * dyn.cols], k)
+        states.append(x)
+        records.extend((inc, csm, *terms))
+    inc, csm, *term_series = np.frombuffer(records).reshape(spec.n, -1).T
+    terms = dict(zip(dyn.terms, term_series))
+    sums = {name: _kahan_cumsum(values) for name, values in terms.items()}
+    return ProcessTrace(
+        spec=spec,
+        seed=seed,
+        replicate=replicate,
+        increments=inc,
+        cond_second_moments=csm,
+        path=accumulate(inc, csm),
+        stats=dyn.series(spec, np.frombuffer(states), terms, sums),
+    )
 
 
-def finals_kernel(spec: ProcessSpec):
-    """Vectorized block kernel matching the spec type."""
-    if isinstance(spec, AR1Spec):
-        return ar1_finals
-    if isinstance(spec, IDLASpec):
-        return idla_finals
-    if isinstance(spec, LearnSpec):
-        return learning_finals
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+# Per-process names of the two drivers; each accepts any spec.
+ar1_finals = idla_finals = learning_finals = finals
+ar1_simulate = idla_simulate = learning_simulate = simulate
 
 
 def idla_exact_moments(n: int) -> tuple[float, float]:
@@ -400,16 +334,9 @@ def idla_exact_moments(n: int) -> tuple[float, float]:
     return ex2, (n + 1.0) ** 2 * ex2
 
 
-_TRACE_COLUMNS = {
-    AR1Spec: ("x", "theta_hat"),
-    IDLASpec: ("x", "l", "r"),
-    LearnSpec: ("c", "r_hat", "r_bar"),
-}
-
-
 def trace_to_csv(trace: ProcessTrace) -> str:
     """Render a trace as CSV, one row per step (step 0 included)."""
-    cols = _TRACE_COLUMNS[type(trace.spec)]
+    cols = _DYNAMICS[type(trace.spec)].columns
     buf = io.StringIO()
     buf.write("step,m,qv,pqv," + ",".join(cols) + "\r\n")
     for k in range(trace.path.n + 1):

@@ -273,3 +273,45 @@ class TestSeedEnv:
         monkeypatch.delenv("SELFNORM_SEED")
         _, direct = run(capsys, "simulate", "idla", "--n", "8", "--seed", "2")
         assert out == direct
+
+
+def assert_one_error_line(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len([ln for ln in captured.err.splitlines() if ln.startswith("error:")]) == 1
+
+
+class TestSeedRange:
+    def test_flag_out_of_range_exits_2(self, capsys):
+        for seed in ("99999999999999999999999", str(2**63)):
+            code = main(["simulate", "idla", "--n", "8", "--seed", seed])
+            assert_one_error_line(code, capsys.readouterr())
+
+    def test_env_out_of_range_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SELFNORM_SEED", str(2**64 - 1))
+        code = main(["verify", "idla-sqrt", "--n", "8", "--reps", "100"])
+        assert_one_error_line(code, capsys.readouterr())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ar-estimator", "--theta", "3", "--n", "1000", "--reps", "200"],
+        ["verify", "supermartingale", "--process", "ar1", "--theta", "3", "--n", "1000",
+         "--reps", "200"],
+    ],
+)
+def test_non_finite_finals_exit_2(capsys, argv):
+    # theta = 3 overflows X_n, so every statistic is inf or NaN
+    code = main(argv + ["--seed", "1"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert "theta_hat in 200" in captured.err
+
+
+def test_default_workers_is_one(capsys):
+    code, out = run(capsys, "simulate", "idla", "--n", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["header"]["config"]["workers"] == 1

@@ -11,11 +11,13 @@ from selfnorm.processes import (
     LearnSpec,
     ar1_finals,
     ar1_simulate,
+    finals as block_finals,
     idla_exact_moments,
     idla_finals,
     idla_simulate,
     learning_finals,
     learning_simulate,
+    simulate,
     trace_to_csv,
     true_risk,
     uniform_rows,
@@ -54,6 +56,15 @@ class TestRng:
         with pytest.raises(ValueError):
             uniform_rows(-1, 0, 1, 8)
 
+    def test_seed_range(self):
+        # numpy reads the key [seed, rep] as float64 once seed >= 2**63,
+        # where neighbouring seeds give the same stream
+        top = uniform_rows(2**63 - 1, 0, 2, 8)
+        assert not np.array_equal(top, uniform_rows(2**63 - 2, 0, 2, 8))
+        for seed in (2**63, 2**63 + 1, 2**64 - 1, 10**23):
+            with pytest.raises(ValueError, match="seed"):
+                uniform_rows(seed, 0, 1, 8)
+
 
 class TestAR1:
     spec = AR1Spec(p=1 / 3, theta=0.5, n=100)
@@ -88,15 +99,6 @@ class TestAR1:
         spec = AR1Spec(p=0.5, theta=0.5, n=100)
         trace = ar1_simulate(spec, seed=1)
         assert np.array_equal(trace.path.qv, trace.path.pqv)
-
-    def test_kernel_matches_single_path(self):
-        finals = ar1_finals(self.spec, 7, 0, 4)
-        for rep in range(4):
-            trace = ar1_simulate(self.spec, seed=7, replicate=rep)
-            assert trace.path.m[-1] == finals["m"][rep]
-            assert trace.path.qv[-1] == finals["qv"][rep]
-            assert trace.path.pqv[-1] == finals["pqv"][rep]
-            assert trace.stats["theta_hat"][-1] == finals["theta_hat"][rep]
 
     def test_deterministic(self):
         t1 = ar1_simulate(self.spec, seed=11)
@@ -167,14 +169,6 @@ class TestIDLA:
             assert np.any(trace.path.qv != trace.path.pqv)
             assert trace.path.qv[2] != trace.path.pqv[2]
 
-    def test_kernel_matches_single_path(self):
-        finals = idla_finals(self.spec, 13, 0, 3)
-        for rep in range(3):
-            trace = idla_simulate(self.spec, seed=13, replicate=rep)
-            assert trace.path.m[-1] == finals["m"][rep]
-            assert trace.path.pqv[-1] == finals["pqv"][rep]
-            assert trace.stats["x"][-1] == finals["x"][rep]
-
 
 class TestLearning:
     spec = LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=100)
@@ -219,13 +213,27 @@ class TestLearning:
             cap = n * (1 + weight_c(a) * finals["r_bar"])
             assert np.all(s <= cap + 1e-9)
 
-    def test_kernel_matches_single_path(self):
-        finals = learning_finals(self.spec, 23, 0, 3)
-        for rep in range(3):
-            trace = learning_simulate(self.spec, seed=23, replicate=rep)
-            assert trace.path.m[-1] == finals["m"][rep]
-            assert trace.stats["r_hat"][-1] == finals["r_hat"][rep]
-            assert trace.stats["r_bar"][-1] == finals["r_bar"][rep]
+
+# (spec, seed) per process; the finals keys other than the per-step checks
+# are the path's m, qv, pqv and these trace statistics
+KERNEL_CASES = {
+    "ar1": (AR1Spec(p=1 / 3, theta=0.5, n=100), 7, ("theta_hat",)),
+    "idla": (IDLASpec(n=200), 13, ("x",)),
+    "learn": (LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=100), 23, ("r_hat", "r_bar")),
+}
+
+
+@pytest.mark.parametrize("rep", range(4))
+@pytest.mark.parametrize("process", KERNEL_CASES)
+def test_kernel_matches_single_path(process, rep):
+    spec, seed, stats = KERNEL_CASES[process]
+    finals = block_finals(spec, seed, 0, 4)
+    trace = simulate(spec, seed=seed, replicate=rep)
+    assert set(finals) - {"sandwich_ok"} == {"m", "qv", "pqv", *stats}
+    for key in ("m", "qv", "pqv"):
+        assert getattr(trace.path, key)[-1] == finals[key][rep]
+    for key in stats:
+        assert trace.stats[key][-1] == finals[key][rep]
 
 
 def test_trace_csv_shape():
