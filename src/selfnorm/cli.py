@@ -43,7 +43,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--alpha", type=parse_real, default=0.05)
     sub.add_argument("--reps", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults")
@@ -136,6 +135,11 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
+    _write(text, args)
+
+
+def _write(text: str, args: argparse.Namespace) -> None:
+    """Write text to --out, or to stdout without it."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -167,12 +171,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     spec = make_spec(args.process, args)
     trace = simulate(spec, args.seed)
     if args.format == "csv":
-        text = trace_to_csv(trace)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(trace_to_csv(trace), args)
     else:
         rows = [
             {

@@ -18,23 +18,13 @@ from .bounds import weight_b, weight_c
 __all__ = ["MartingalePath", "accumulate", "s_weighted", "supermartingale_weight"]
 
 
-def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Compensated cumulative sum, prepended with 0.
+def _cumsum(values: np.ndarray) -> np.ndarray:
+    """Running sum of values, prepended with 0.
 
-    Fixed left-to-right order with error compensation, so the result does
-    not depend on how the increments were produced or chunked upstream.
+    np.cumsum adds strictly left to right, the order in which the block
+    driver adds the same values to its running totals.
     """
-    out = np.empty(len(values) + 1)
-    out[0] = 0.0
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[i + 1] = total
-    return out
+    return np.cumsum(np.concatenate(([0.0], values)))
 
 
 @dataclass(frozen=True)
@@ -72,9 +62,9 @@ def accumulate(increments, cond_second_moments) -> MartingalePath:
     if np.any(csm < 0.0):
         raise ValueError("conditional second moments must be nonnegative")
     return MartingalePath(
-        m=_kahan_cumsum(inc),
-        qv=_kahan_cumsum(inc * inc),
-        pqv=_kahan_cumsum(csm),
+        m=_cumsum(inc),
+        qv=_cumsum(inc * inc),
+        pqv=_cumsum(csm),
     )
 
 

@@ -3,15 +3,13 @@ of checks behind ``selfnorm verify``.
 
 Replicates are simulated in fixed-size chunks whose contents depend only on
 (spec, seed, replicate index), because every replicate draws from its own
-Philox stream; chunk results are concatenated in chunk order.  Worker threads
-only change which chunk is computed when, never what it contains, so every
-estimate is bit-identical for any worker count.
+Philox stream; chunk results are concatenated in chunk order, so every
+estimate is the same for any chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -26,6 +24,7 @@ from .processes import (
     ProcessSpec,
     idla_exact_moments,
     make_spec,
+    require_finite,
 )
 
 __all__ = [
@@ -47,7 +46,7 @@ __all__ = [
     "verify",
 ]
 
-# Replicates per simulation chunk; fixed so results never depend on workers.
+# Replicates per simulation chunk; bounds the memory of one chunk's uniforms.
 CHUNK = 4096
 
 # Fewest replicates an estimate accepts.
@@ -103,31 +102,20 @@ def summarize_indicators(indicators: np.ndarray, alpha: float, seed: int) -> MCE
     )
 
 
-def simulate_finals(
-    spec: ProcessSpec, seed: int, n_samples: int, workers: int | None = None
-) -> dict[str, np.ndarray]:
+def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, np.ndarray]:
     """End-of-horizon summaries for n_samples replicates, simulated in chunks
     and concatenated in chunk order.
 
     A non-finite summary (an overflowed or 0/0 statistic) is a configuration
     error, never a sample: it raises ValueError naming each such key.
     """
-    ranges = [(lo, min(lo + CHUNK, n_samples)) for lo in range(0, n_samples, CHUNK)]
     # processes.finals is looked up at call time, so a profiler may rebind it
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: processes.finals(spec, seed, *r), ranges))
-    else:
-        parts = [processes.finals(spec, seed, lo, hi) for lo, hi in ranges]
+    parts = [
+        processes.finals(spec, seed, lo, min(lo + CHUNK, n_samples))
+        for lo in range(0, n_samples, CHUNK)
+    ]
     out = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-    counts = {
-        k: int(np.count_nonzero(~np.isfinite(v)))
-        for k, v in out.items()
-        if np.issubdtype(v.dtype, np.floating)
-    }
-    bad = ", ".join(f"{k} in {count}" for k, count in counts.items() if count)
-    if bad:
-        raise ValueError(f"non-finite finals of {spec} over {n_samples} replicates: {bad}")
+    require_finite(out, f"finals of {spec} over {n_samples} replicates")
     return out
 
 
@@ -220,12 +208,11 @@ def estimate_event(
     n_samples: int,
     seed: int,
     alpha: float = 0.05,
-    workers: int | None = None,
 ) -> MCEstimate:
     """Estimate the probability of a tail event over independent replicates."""
     if n_samples < MIN_REPS:
         raise ValueError(f"n_samples must be at least {MIN_REPS}")
-    finals = simulate_finals(spec, seed, n_samples, workers)
+    finals = simulate_finals(spec, seed, n_samples)
     return summarize_indicators(event_indicator(spec, event, finals), alpha, seed)
 
 
@@ -253,11 +240,7 @@ def _mean_se(values: np.ndarray, seed: int) -> ExpectationEstimate:
 
 
 def estimate_expectation(
-    spec: ProcessSpec,
-    functional: Functional,
-    n_samples: int,
-    seed: int,
-    workers: int | None = None,
+    spec: ProcessSpec, functional: Functional, n_samples: int, seed: int
 ) -> ExpectationEstimate:
     """Monte Carlo mean and standard error of a per-path functional."""
     if n_samples < MIN_REPS:
@@ -266,7 +249,7 @@ def estimate_expectation(
         if not 1 <= functional.k <= spec.n:
             raise ValueError(f"k must lie in [1, {spec.n}]")
         spec = type(spec)(**{**spec.__dict__, "n": functional.k})
-    return _expectation(functional, simulate_finals(spec, seed, n_samples, workers), seed)
+    return _expectation(functional, simulate_finals(spec, seed, n_samples), seed)
 
 
 def _expectation(
@@ -311,7 +294,6 @@ class CompareConfig:
     n_samples: int
     seed: int
     alpha: float = 0.05
-    workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -355,7 +337,7 @@ def compare_bounds(spec: ProcessSpec, x_grid, config: CompareConfig) -> list[Bou
     xs = list(x_grid)
     if not xs:
         raise ValueError("x_grid must be nonempty")
-    finals = simulate_finals(spec, config.seed, config.n_samples, config.workers)
+    finals = simulate_finals(spec, config.seed, config.n_samples)
     run = SimpleNamespace(**vars(config), spec=spec, finals=finals, y=None, moment=math.nan)
     return [_bound_row(run, x, _COMPARE_CHECKS[type(spec)]) for x in xs]
 
@@ -571,7 +553,7 @@ def verify(check: Check, params) -> list[dict]:
             raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
         run.process = (check.any_process and params.process) or check.process
         run.spec = make_spec(run.process, params)
-        run.finals = simulate_finals(run.spec, params.seed, reps, params.workers)
+        run.finals = simulate_finals(run.spec, params.seed, reps)
         if check.prepare is not None:
             check.prepare(run)
     if check.event is not None and params.x_grid:

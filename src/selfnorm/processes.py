@@ -8,18 +8,18 @@ operators (and ``_clip01`` for the learner's clamp), so the same definition
 advances a Python float or a ``(B,)`` array of replicates.
 
 Two drivers run the steps.  :func:`finals` advances a block of replicates
-and keeps compensated running totals (``_kadd``) of the increments, their
-squares, the conditional second moments and the terms, from which it forms
-the end-of-horizon summaries.  :func:`simulate` advances one replicate on
-floats, records every step and sums the records with
-``martingale._kahan_cumsum``, the same compensated arithmetic in the same
-order; so the last entry of a trace equals its replicate's finals bit for
-bit.
+and keeps running totals of the increments, their squares, the conditional
+second moments and the terms, from which it forms the end-of-horizon
+summaries.  :func:`simulate` advances one replicate on floats, records every
+step and sums the records with ``martingale._cumsum``, which adds the same
+values from 0.0 in the same order; so the last entry of a trace equals its
+replicate's finals bit for bit.  Both drivers raise ValueError when a
+statistic they return is not finite.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 replicate index), with seed in [0, 2**63), so every replicate is an
-independent, scheduling-free stream: results depend only on (spec, seed,
-replicate), never on worker count or evaluation order.
+independent stream: results depend only on (spec, seed, replicate), never on
+how replicates are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .martingale import MartingalePath, _kahan_cumsum, accumulate
+from .martingale import MartingalePath, _cumsum, accumulate
 
 __all__ = [
     "AR1Spec",
@@ -40,6 +40,7 @@ __all__ = [
     "LearnSpec",
     "PROCESSES",
     "make_spec",
+    "require_finite",
     "ProcessTrace",
     "finals",
     "simulate",
@@ -166,11 +167,17 @@ def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int) -> np.ndarray:
     return out
 
 
-def _kadd(total, comp, x):
-    """One compensated-summation step; returns the new (total, comp)."""
-    y = x - comp
-    t = total + y
-    return t, (t - total) - y
+def require_finite(arrays: dict[str, np.ndarray], what: str) -> None:
+    """Raise ValueError naming each floating array of arrays that holds
+    non-finite values, with their count."""
+    counts = {
+        k: int(np.count_nonzero(~np.isfinite(v)))
+        for k, v in arrays.items()
+        if np.issubdtype(v.dtype, np.floating)
+    }
+    bad = ", ".join(f"{k} in {count}" for k, count in counts.items() if count)
+    if bad:
+        raise ValueError(f"non-finite {what}: {bad}")
 
 
 def true_risk(c: float | np.ndarray, theta_star: float, eta: float):
@@ -282,21 +289,25 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
     x = np.full(B, dyn.init(spec))
     # m, qv, pqv, then the terms
     totals = [0.0] * (3 + len(dyn.terms))
-    comps = [0.0] * len(totals)
     checks = {name: np.ones(B, dtype=bool) for name in dyn.invariants}
-    for k in range(1, spec.n + 1):
-        x, inc, csm, terms = dyn.step(spec, x, u[k - 1], k)
-        for i, value in enumerate((inc, inc * inc, csm, *terms)):
-            totals[i], comps[i] = _kadd(totals[i], comps[i], value)
-        for name, holds in dyn.invariants.items():
-            checks[name] &= holds(spec, totals[1], totals[2])
-    m, qv, pqv, *sums = totals
-    stats = dyn.finals(spec, x, dict(zip(dyn.terms, sums)))
+    # an overflow turns statistics non-finite, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, spec.n + 1):
+            x, inc, csm, terms = dyn.step(spec, x, u[k - 1], k)
+            for i, value in enumerate((inc, inc * inc, csm, *terms)):
+                totals[i] = totals[i] + value
+            for name, holds in dyn.invariants.items():
+                checks[name] &= holds(spec, totals[1], totals[2])
+        m, qv, pqv, *sums = totals
+        stats = dyn.finals(spec, x, dict(zip(dyn.terms, sums)))
     return {"m": m, "qv": qv, "pqv": pqv, **stats, **checks}
 
 
 def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
-    """One replicate stepped on floats, with every step recorded."""
+    """One replicate stepped on floats, with every step recorded.
+
+    Raises ValueError when the path's m, qv or pqv is not finite.
+    """
     dyn = _DYNAMICS[type(spec)]
     # a memoryview hands out floats one at a time, and the array('d') records
     # hold raw doubles, so no step keeps a Python object alive
@@ -309,15 +320,22 @@ def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
         records.extend((inc, csm, *terms))
     inc, csm, *term_series = np.frombuffer(records).reshape(spec.n, -1).T
     terms = dict(zip(dyn.terms, term_series))
-    sums = {name: _kahan_cumsum(values) for name, values in terms.items()}
+    # an overflow turns the path non-finite, which is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = accumulate(inc, csm)
+        sums = {name: _cumsum(values) for name, values in terms.items()}
+        stats = dyn.series(spec, np.frombuffer(states), terms, sums)
+    require_finite(
+        {"m": path.m, "qv": path.qv, "pqv": path.pqv}, f"trace of {spec}, replicate {replicate}"
+    )
     return ProcessTrace(
         spec=spec,
         seed=seed,
         replicate=replicate,
         increments=inc,
         cond_second_moments=csm,
-        path=accumulate(inc, csm),
-        stats=dyn.series(spec, np.frombuffer(states), terms, sums),
+        path=path,
+        stats=stats,
     )
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from selfnorm import bounds
+from selfnorm import bounds, montecarlo
 from selfnorm.bounds import TABLE1
 from selfnorm.cli import main
 from selfnorm.montecarlo import (
@@ -32,7 +32,7 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def idla100():
-    return simulate_finals(IDLASpec(n=100), seed=101, n_samples=100_000, workers=4)
+    return simulate_finals(IDLASpec(n=100), seed=101, n_samples=100_000)
 
 
 def _supermg_mean(finals, t, a):
@@ -93,7 +93,7 @@ def test_04_supermartingale_means():
     worst = -math.inf
     ok = True
     for spec in specs:
-        finals = simulate_finals(spec, seed=41, n_samples=10_000, workers=4)
+        finals = simulate_finals(spec, seed=41, n_samples=10_000)
         for a in (1 / 3, 9 / 16):
             for t in (-0.05, -0.01, -0.001, 0.001, 0.01, 0.05):
                 mean, se = _supermg_mean(finals, t, a)
@@ -139,7 +139,7 @@ def test_07_ar_suite():
     for p, a in ((0.5, 1 / 3), (1 / 3, 9 / 16)):
         for theta in (0.5, 1.0):
             spec = AR1Spec(p=p, theta=theta, n=200)
-            finals = simulate_finals(spec, seed=71, n_samples=100_000, workers=4)
+            finals = simulate_finals(spec, seed=71, n_samples=100_000)
             ok &= bool(np.all(finals["sandwich_ok"]))
             limit = math.sqrt(a * bounds.ar_rate(a, p))
             dev = np.abs(finals["theta_hat"] - theta)
@@ -172,7 +172,7 @@ def test_08_two_point_mgf_grid():
 def test_09_learning_suite():
     spec = LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=100)
     a, delta, reps = 1 / 3, 0.2, 10_000
-    finals = simulate_finals(spec, seed=91, n_samples=reps, workers=4)
+    finals = simulate_finals(spec, seed=91, n_samples=reps)
     width = bounds.learning_threshold(spec.n, a, delta, 1.0)
     freq = float(np.mean(finals["r_bar"] >= finals["r_hat"] + width))
     coverage_ok = freq <= delta + hoeffding_epsilon(reps, ALPHA)
@@ -211,11 +211,12 @@ def test_09_learning_suite():
     )
 
 
-def test_10_worker_count_determinism(tmp_path):
+def test_10_chunk_size_determinism(tmp_path, monkeypatch):
     args = ["verify", "idla-scaled", "--n", "50", "--reps", "20000", "--seed", "5"]
-    out1 = tmp_path / "w1.csv"
-    out2 = tmp_path / "w4.csv"
-    code1 = main(args + ["--workers", "1", "--out", str(out1)])
-    code2 = main(args + ["--workers", "4", "--out", str(out2)])
+    out1 = tmp_path / "default.csv"
+    out2 = tmp_path / "chunk1000.csv"
+    code1 = main(args + ["--out", str(out1)])
+    monkeypatch.setattr(montecarlo, "CHUNK", 1000)
+    code2 = main(args + ["--out", str(out2)])
     ok = code1 == code2 == 0 and out1.read_bytes() == out2.read_bytes()
-    assert report(10, "worker-count determinism", ok)
+    assert report(10, "chunk-size determinism", ok)

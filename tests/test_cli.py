@@ -120,17 +120,6 @@ class TestVerify:
         code, _ = run(capsys, "verify", "no-such-inequality")
         assert code == 2
 
-    def test_worker_count_does_not_change_output(self, tmp_path, capsys):
-        out1 = tmp_path / "w1.csv"
-        out3 = tmp_path / "w3.csv"
-        base = [
-            "verify", "idla-scaled", "--n", "30", "--reps", "5000", "--seed", "7"
-        ]
-        assert main(base + ["--workers", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--workers", "3", "--out", str(out3)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out3.read_bytes()
-
 
 TAIL_COLUMNS = "p_hat,ci_lo,ci_hi,n_samples,satisfied"
 MART_HEADER = f"x,y,bound_weighted,{TAIL_COLUMNS}"
@@ -174,7 +163,7 @@ def test_every_verify_id(capsys, monkeypatch, check_id, process):
     monkeypatch.setattr(
         montecarlo, "simulate_finals", lambda *a: calls.append(a) or simulate_finals(*a)
     )
-    argv = ["verify", check_id, *size, "--seed", "3", "--workers", "1"]
+    argv = ["verify", check_id, *size, "--seed", "3"]
     if process:
         argv += ["--process", process]
     code, out = run(capsys, *argv)
@@ -279,7 +268,9 @@ def assert_one_error_line(code, captured):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert len([ln for ln in captured.err.splitlines() if ln.startswith("error:")]) == 1
+    # one line, which says what went wrong: no warnings before it
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestSeedRange:
@@ -294,7 +285,6 @@ class TestSeedRange:
         assert_one_error_line(code, capsys.readouterr())
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -311,7 +301,30 @@ def test_non_finite_finals_exit_2(capsys, argv):
     assert "theta_hat in 200" in captured.err
 
 
-def test_default_workers_is_one(capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_trace_exit_2(capsys, fmt):
+    code = main(["simulate", "ar1", "--theta", "3", "--n", "1000", "--format", fmt])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert "m in " in captured.err and "qv in " in captured.err
+
+
+def test_no_workers_option(tmp_path, capsys):
+    code = main(["verify", "idla-sqrt", "--n", "8", "--reps", "100", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    # argparse prefixes its one error line with the program name
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "--workers" in errors[0]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    code = main(["simulate", "idla", "--n", "2", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert "workers" in captured.err
+
     code, out = run(capsys, "simulate", "idla", "--n", "2", "--format", "json")
     assert code == 0
-    assert json.loads(out)["header"]["config"]["workers"] == 1
+    assert "workers" not in json.loads(out)["header"]["config"]

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from selfnorm import montecarlo
 from selfnorm.bounds import exp_tail_bound
 from selfnorm.montecarlo import (
     Check,
@@ -63,21 +64,24 @@ class TestSummarize:
 
 
 class TestDeterminism:
-    def test_finals_worker_independent(self):
-        one = simulate_finals(IDLA, seed=3, n_samples=10_000, workers=1)
-        three = simulate_finals(IDLA, seed=3, n_samples=10_000, workers=3)
-        for key in one:
-            assert np.array_equal(one[key], three[key])
+    def test_finals_chunk_independent(self, monkeypatch):
+        default = simulate_finals(IDLA, seed=3, n_samples=10_000)
+        monkeypatch.setattr(montecarlo, "CHUNK", 1000)
+        small = simulate_finals(IDLA, seed=3, n_samples=10_000)
+        assert default.keys() == small.keys()
+        for key in default:
+            assert np.array_equal(default[key], small[key])
 
-    def test_event_estimate_worker_independent(self):
+    def test_event_estimate_chunk_independent(self, monkeypatch):
         ev = TailEvent("ar-estimator", x=0.1)
-        a = estimate_event(AR, ev, 8192, seed=5, workers=1)
-        b = estimate_event(AR, ev, 8192, seed=5, workers=4)
+        a = estimate_event(AR, ev, 8192, seed=5)
+        monkeypatch.setattr(montecarlo, "CHUNK", 1000)
+        b = estimate_event(AR, ev, 8192, seed=5)
         assert a == b
 
     def test_partial_chunk(self):
-        finals = simulate_finals(IDLA, seed=3, n_samples=5000, workers=2)
-        full = simulate_finals(IDLA, seed=3, n_samples=10_000, workers=1)
+        finals = simulate_finals(IDLA, seed=3, n_samples=5000)
+        full = simulate_finals(IDLA, seed=3, n_samples=10_000)
         assert np.array_equal(finals["x"], full["x"][:5000])
 
 
@@ -191,7 +195,7 @@ class TestVerify:
     def tail_row(bound_columns, dominating=()):
         check = Check("idla", 0, (0.1,), "idla-scaled", bound_columns, dominating)
         params = SimpleNamespace(
-            reps=1000, process=None, seed=1, workers=1, alpha=0.05, a=1 / 3, n=50, x_grid=None
+            reps=1000, process=None, seed=1, alpha=0.05, a=1 / 3, n=50, x_grid=None
         )
         return verify(check, params)[0]
 
