@@ -58,6 +58,9 @@ BASELINE_KINDS = ("BT2008", "IMPROVED", "AZUMA_IDLA", "GAUSS_AR")
 def _check_weight(a: float) -> None:
     if not a > ADMISSIBLE_MIN:
         raise ValueError(f"weight parameter a must be > 1/8, got {a}")
+    # the weights take sqrt(a(a+1)), which overflows from a ~ 1.3e154 on
+    if not math.isfinite(a * (a + 1.0)):
+        raise ValueError(f"weight parameter a is too large, got {a}")
 
 
 def _check_narrow(a: float) -> None:

@@ -27,7 +27,7 @@ def parse_real(text: str) -> float:
     """Parse a real number, accepting exact rationals like '9/16'."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse real number {text!r}") from exc
 
 
@@ -61,10 +61,18 @@ def _add_process_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--x-grid", type=parse_real_list, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so that main
+    reports them as one ``error:`` line like every other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The selfnorm parser; defaults, when given, replace the flag defaults
     of every subcommand."""
-    parser = argparse.ArgumentParser(prog="selfnorm")
+    parser = _Parser(prog="selfnorm")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -382,9 +382,14 @@ def _set_idla_moment(run) -> None:
 def _hermite_row(run, a: float) -> dict:
     # selfnorm hermite sets the x-range; verify hermite keeps these defaults
     x_max = getattr(run, "x_max", 50.0)
+    # a grid wider than the largest float would be NaN, not a violation
+    if not math.isfinite(2.0 * x_max):
+        raise ValueError(f"x-max is too large for a grid of floats, got {x_max}")
     xs = np.linspace(-x_max, x_max, getattr(run, "x_steps", 100_001))
     b = bounds.weight_b(a)
-    margin = (1.0 + xs + 0.5 * b * xs * xs) - np.exp(xs - 0.5 * a * xs * xs)
+    # for huge |x| the quadratic overflows to +inf, the margin's own limit
+    with np.errstate(over="ignore"):
+        margin = (1.0 + xs + 0.5 * b * xs * xs) - np.exp(xs - 0.5 * a * xs * xs)
     disc = bounds.pab_discriminant(a, b)
     min_margin = float(margin.min())
     return {

@@ -19,7 +19,9 @@ statistic they return is not finite.
 Randomness comes from counter-based Philox streams keyed by (seed,
 replicate index), with seed in [0, 2**63), so every replicate is an
 independent stream: results depend only on (spec, seed, replicate), never on
-how replicates are grouped into blocks.
+how replicates are grouped into blocks.  A block is drawn from one bit
+generator whose key is reset for each replicate; the streams are the same
+as those of one generator constructed per replicate.
 """
 
 from __future__ import annotations
@@ -157,13 +159,26 @@ class ProcessTrace:
 
 
 def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int) -> np.ndarray:
-    """Uniform(0,1) draws for replicates rep_lo..rep_hi-1, one row each."""
+    """Uniform(0,1) draws for replicates rep_lo..rep_hi-1, one row each.
+
+    Row i is the start of the Philox stream keyed by (seed, rep_lo + i).  One
+    bit generator serves the whole block: before each row its key is set to
+    the replicate and its counter, buffer and cached half-word are reset, so
+    every row equals a fresh ``Generator(Philox(key=[seed, rep]))``.
+    """
     # numpy stores key=[seed, rep] as float64 from 2**63 on, merging seeds
     if not 0 <= seed < 2**63:
         raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
     out = np.empty((rep_hi - rep_lo, cols))
+    bitgen = np.random.Philox(key=[seed, rep_lo])
+    gen = np.random.Generator(bitgen)
+    # the fresh state of this instance; its name must match the bit
+    # generator's class, so it is read, not written out
+    state = bitgen.state
     for i, rep in enumerate(range(rep_lo, rep_hi)):
-        out[i] = np.random.Generator(np.random.Philox(key=[seed, rep])).random(cols)
+        state["state"]["key"][1] = rep
+        bitgen.state = state
+        gen.random(out=out[i])
     return out
 
 

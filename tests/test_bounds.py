@@ -52,7 +52,8 @@ class TestWeights:
         assert 0.5 < weight_b(100.0) < 0.5002
 
     def test_domain_errors(self):
-        for a in (0.125, 0.1, -1.0):
+        # from a ~ 1.3e154 on, a(a+1) overflows and c(a) would be inf
+        for a in (0.125, 0.1, -1.0, 1e160, 1e300, math.inf, math.nan):
             with pytest.raises(ValueError):
                 weight_c(a)
             with pytest.raises(ValueError):

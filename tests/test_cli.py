@@ -32,6 +32,8 @@ class TestParsing:
             parse_real("abc")
         with pytest.raises(ValueError):
             parse_real("1/0")
+        with pytest.raises(ValueError):
+            parse_real("1e400")
 
 
 class TestWeights:
@@ -74,6 +76,16 @@ class TestHermite:
         code, out = run(capsys, "hermite", "--a-grid", "1/3,1", "--x-steps", "2001")
         assert code == 0
         assert len(csv_rows(out)) == 2
+
+    def test_huge_x_max(self, capsys):
+        # far out the quadratic overflows to +inf, which still satisfies the
+        # inequality; past half the largest float the grid itself overflows
+        code = main(["hermite", "--x-max", "1e300", "--x-steps", "101"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert all(r["satisfied"] == "True" for r in csv_rows(captured.out))
+        code = main(["hermite", "--x-max", "1e308", "--x-steps", "101"])
+        assert_one_error_line(code, capsys.readouterr())
 
 
 class TestSimulate:
@@ -312,11 +324,8 @@ def test_non_finite_trace_exit_2(capsys, fmt):
 def test_no_workers_option(tmp_path, capsys):
     code = main(["verify", "idla-sqrt", "--n", "8", "--reps", "100", "--workers", "2"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    # argparse prefixes its one error line with the program name
-    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
-    assert len(errors) == 1 and "--workers" in errors[0]
+    assert_one_error_line(code, captured)
+    assert "--workers" in captured.err
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 2}))
@@ -328,3 +337,30 @@ def test_no_workers_option(tmp_path, capsys):
     code, out = run(capsys, "simulate", "idla", "--n", "2", "--format", "json")
     assert code == 0
     assert "workers" not in json.loads(out)["header"]["config"]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["verify", "idla-sqrt", "--n", "8", "--bogus", "2"], "--bogus"),
+        (["verify", "idla-sqrt", "--n", "abc"], "--n"),
+        (["verify", "ratio-tail", "--process", "xyz"], "--process"),
+        (["simulate", "xyz"], "process"),
+        (["verify", "no-such-check"], "inequality"),
+        ([], "command"),
+    ],
+)
+def test_usage_error_one_line(capsys, argv, names):
+    # argparse's usage block and program-name prefix are not printed
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert names in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    code = main([flag])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out and captured.err == ""

@@ -65,6 +65,30 @@ class TestRng:
             with pytest.raises(ValueError, match="seed"):
                 uniform_rows(seed, 0, 1, 8)
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 - 1])
+    @pytest.mark.parametrize("rep_lo", [0, 4095, 4096])
+    @pytest.mark.parametrize("cols", [1, 7, 200])
+    def test_matches_per_replicate_construction(self, seed, rep_lo, cols):
+        # one fresh generator per replicate is the definition of the stream;
+        # odd cols leave the Philox buffer partly used between rows
+        reps = range(rep_lo, rep_lo + 3)
+        ref = [np.random.Generator(np.random.Philox(key=[seed, rep])).random(cols) for rep in reps]
+        assert uniform_rows(seed, rep_lo, rep_lo + 3, cols).tobytes() == np.array(ref).tobytes()
+
+    def test_one_bit_generator_per_block(self, monkeypatch):
+        expected = uniform_rows(3, 0, 300, 20)
+        built = []
+
+        class CountingPhilox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        rows = uniform_rows(3, 0, 300, 20)
+        assert len(built) == 1
+        assert rows.tobytes() == expected.tobytes()
+
 
 class TestAR1:
     spec = AR1Spec(p=1 / 3, theta=0.5, n=100)
