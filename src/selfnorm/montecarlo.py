@@ -46,7 +46,9 @@ __all__ = [
     "verify",
 ]
 
-# Replicates per simulation chunk; bounds the memory of one chunk's uniforms.
+# Replicates per simulation chunk.  CHUNK bounds the replicates and
+# processes.TILE the columns of the uniforms drawn at once, so one tile holds
+# at most CHUNK x TILE x 8 B, about 34 MB.
 CHUNK = 4096
 
 # Fewest replicates an estimate accepts.
@@ -385,7 +387,10 @@ def _hermite_row(run, a: float) -> dict:
     # a grid wider than the largest float would be NaN, not a violation
     if not math.isfinite(2.0 * x_max):
         raise ValueError(f"x-max is too large for a grid of floats, got {x_max}")
-    xs = np.linspace(-x_max, x_max, getattr(run, "x_steps", 100_001))
+    x_steps = getattr(run, "x_steps", 100_001)
+    if x_steps < 2:
+        raise ValueError(f"x-steps must be at least 2, got {x_steps}")
+    xs = np.linspace(-x_max, x_max, x_steps)
     b = bounds.weight_b(a)
     # for huge |x| the quadratic overflows to +inf, the margin's own limit
     with np.errstate(over="ignore"):

@@ -21,7 +21,11 @@ replicate index), with seed in [0, 2**63), so every replicate is an
 independent stream: results depend only on (spec, seed, replicate), never on
 how replicates are grouped into blocks.  A block is drawn from one bit
 generator whose key is reset for each replicate; the streams are the same
-as those of one generator constructed per replicate.
+as those of one generator constructed per replicate.  Philox4x64 yields 4
+doubles per counter value, so a stream restarts exactly at any column that
+is a multiple of 4; :func:`finals` draws its block's streams one tile of at
+most ``TILE`` columns at a time, and the tiles join into the same bits as
+one full draw, so memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -36,11 +40,17 @@ import numpy as np
 
 from .martingale import MartingalePath, _cumsum, accumulate
 
+# Uniform columns per tile of finals' draws, a multiple of 4 and of every
+# process's uniforms per step; bounds the memory of one chunk's uniforms
+# along the horizon.
+TILE = 1024
+
 __all__ = [
     "AR1Spec",
     "IDLASpec",
     "LearnSpec",
     "PROCESSES",
+    "TILE",
     "make_spec",
     "require_finite",
     "ProcessTrace",
@@ -158,23 +168,33 @@ class ProcessTrace:
     stats: dict[str, np.ndarray]
 
 
-def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int) -> np.ndarray:
+def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0) -> np.ndarray:
     """Uniform(0,1) draws for replicates rep_lo..rep_hi-1, one row each.
 
-    Row i is the start of the Philox stream keyed by (seed, rep_lo + i).  One
-    bit generator serves the whole block: before each row its key is set to
-    the replicate and its counter, buffer and cached half-word are reset, so
-    every row equals a fresh ``Generator(Philox(key=[seed, rep]))``.
+    Row i holds columns col_lo..col_lo+cols-1 of the Philox stream keyed by
+    (seed, rep_lo + i).  One bit generator serves the whole block: before
+    each row its key is set to the replicate and its counter, buffer and
+    cached half-word are reset, so every row equals a fresh
+    ``Generator(Philox(key=[seed, rep]))`` advanced by col_lo draws.  Each
+    counter value gives 4 doubles, so the counter restarts the stream at
+    col_lo exactly when col_lo is a multiple of 4; other offsets raise
+    ValueError.
     """
     # numpy stores key=[seed, rep] as float64 from 2**63 on, merging seeds
     if not 0 <= seed < 2**63:
         raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
-    out = np.empty((rep_hi - rep_lo, cols))
+    if col_lo < 0 or col_lo % 4:
+        raise ValueError(f"col_lo must be a non-negative multiple of 4, got {col_lo}")
+    # rows lie one cache line further apart than their width: finals reads a
+    # column across all rows, and at a power-of-two width (a whole tile) every
+    # row would fall into the same few cache sets
+    out = np.empty((rep_hi - rep_lo, cols + 8))[:, :cols]
     bitgen = np.random.Philox(key=[seed, rep_lo])
     gen = np.random.Generator(bitgen)
     # the fresh state of this instance; its name must match the bit
     # generator's class, so it is read, not written out
     state = bitgen.state
+    state["state"]["counter"][0] = col_lo // 4
     for i, rep in enumerate(range(rep_lo, rep_hi)):
         state["state"]["key"][1] = rep
         bitgen.state = state
@@ -295,24 +315,34 @@ _DYNAMICS = {
 
 
 def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, np.ndarray]:
-    """End-of-horizon summaries for the block of replicates rep_lo..rep_hi-1."""
+    """End-of-horizon summaries for the block of replicates rep_lo..rep_hi-1.
+
+    The uniforms are drawn one tile of ``TILE // cols`` steps at a time (the
+    last tile may be shorter), so at most one tile of B x TILE doubles is
+    held; a horizon of at most ``TILE`` columns takes one draw.
+    """
     dyn = _DYNAMICS[type(spec)]
     B = rep_hi - rep_lo
-    # u[k - 1][i] is the i-th uniform of step k, one entry per replicate
-    u = uniform_rows(seed, rep_lo, rep_hi, spec.n * dyn.cols)
-    u = u.reshape(B, spec.n, dyn.cols).transpose(1, 2, 0)
+    tile_steps = TILE // dyn.cols
     x = np.full(B, dyn.init(spec))
     # m, qv, pqv, then the terms
     totals = [0.0] * (3 + len(dyn.terms))
     checks = {name: np.ones(B, dtype=bool) for name in dyn.invariants}
     # an overflow turns statistics non-finite, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, spec.n + 1):
-            x, inc, csm, terms = dyn.step(spec, x, u[k - 1], k)
-            for i, value in enumerate((inc, inc * inc, csm, *terms)):
-                totals[i] = totals[i] + value
-            for name, holds in dyn.invariants.items():
-                checks[name] &= holds(spec, totals[1], totals[2])
+        for k0 in range(0, spec.n, tile_steps):
+            steps = min(tile_steps, spec.n - k0)
+            # u[k - k0 - 1][:, i] are step k's uniforms of replicate i
+            u = uniform_rows(seed, rep_lo, rep_hi, steps * dyn.cols, k0 * dyn.cols)
+            u = u.reshape(B, steps, dyn.cols).transpose(1, 2, 0)
+            for k in range(k0 + 1, k0 + steps + 1):
+                x, inc, csm, terms = dyn.step(spec, x, u[k - k0 - 1], k)
+                for i, value in enumerate((inc, inc * inc, csm, *terms)):
+                    totals[i] = totals[i] + value
+                for name, holds in dyn.invariants.items():
+                    checks[name] &= holds(spec, totals[1], totals[2])
+            # free this tile before the next one is drawn
+            del u
         m, qv, pqv, *sums = totals
         stats = dyn.finals(spec, x, dict(zip(dyn.terms, sums)))
     return {"m": m, "qv": qv, "pqv": pqv, **stats, **checks}

@@ -87,6 +87,13 @@ class TestHermite:
         code = main(["hermite", "--x-max", "1e308", "--x-steps", "101"])
         assert_one_error_line(code, capsys.readouterr())
 
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_too_few_x_steps(self, capsys, steps):
+        code = main(["hermite", "--x-steps", steps])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert captured.err == f"error: x-steps must be at least 2, got {steps}\n"
+
 
 class TestSimulate:
     def test_idla_csv(self, capsys):

@@ -38,7 +38,7 @@ VALUES = {
     "--n": ints(1, 40, ["0", "-3", "abc", "2.5"]),
     "--reps": ints(100, 300, ["99", "0", "-5", "x"]),
     "--seed": ints(0, 2**63 - 1, ["-1", str(2**63), "abc"]),
-    "--x-steps": ints(1, 2000, ["0", "-1", "x"]),
+    "--x-steps": ints(1, 2000, ["0", "1", "2", "-1", "x"]),
     "--format": st.sampled_from(["csv", "json", "xml"]),
     "--process": st.sampled_from(["ar1", "idla", "learn", "xyz"]),
     "--a-grid": st.sampled_from(["default", *LISTS]),

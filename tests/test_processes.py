@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from selfnorm import processes
 from selfnorm.bounds import weight_c
 from selfnorm.martingale import s_weighted
 from selfnorm.processes import (
@@ -88,6 +91,22 @@ class TestRng:
         rows = uniform_rows(3, 0, 300, 20)
         assert len(built) == 1
         assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tile", [4, 8, 1024])
+    def test_tiles_join_into_full_draw(self, tile):
+        # two whole tiles and a partial one of 3 columns
+        cols = 2 * tile + 3
+        full = uniform_rows(9, 4094, 4099, cols)
+        tiles = [
+            uniform_rows(9, 4094, 4099, min(tile, cols - lo), lo) for lo in range(0, cols, tile)
+        ]
+        assert len(tiles) == 3
+        assert np.hstack(tiles).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("col_lo", [-4, -1, 1, 2, 6])
+    def test_col_lo_must_be_non_negative_multiple_of_4(self, col_lo):
+        with pytest.raises(ValueError, match="col_lo must be a non-negative multiple of 4"):
+            uniform_rows(9, 0, 1, 8, col_lo)
 
 
 class TestAR1:
@@ -247,10 +266,23 @@ KERNEL_CASES = {
 }
 
 
-@pytest.mark.parametrize("rep", range(4))
-@pytest.mark.parametrize("process", KERNEL_CASES)
-def test_kernel_matches_single_path(process, rep):
+# (process, replicate, TILE): None keeps the default TILE, which draws these
+# horizons at once; TILE 4 and 8 split them into several tiles
+KERNEL_PARAMS = [
+    pytest.param(process, rep, tile, id=f"{process}-{rep}" + (f"-tile{tile}" if tile else ""))
+    for process in KERNEL_CASES
+    for rep in range(4)
+    for tile in (None, 4, 8)
+]
+
+
+@pytest.mark.parametrize("process, rep, tile", KERNEL_PARAMS)
+def test_kernel_matches_single_path(process, rep, tile, monkeypatch):
     spec, seed, stats = KERNEL_CASES[process]
+    if tile:
+        # three more steps end the horizon on a partial tile of the block
+        monkeypatch.setattr(processes, "TILE", tile)
+        spec = dataclasses.replace(spec, n=spec.n + 3)
     finals = block_finals(spec, seed, 0, 4)
     trace = simulate(spec, seed=seed, replicate=rep)
     assert set(finals) - {"sandwich_ok"} == {"m", "qv", "pqv", *stats}
@@ -258,6 +290,25 @@ def test_kernel_matches_single_path(process, rep):
         assert getattr(trace.path, key)[-1] == finals[key][rep]
     for key in stats:
         assert trace.stats[key][-1] == finals[key][rep]
+
+
+def test_finals_memory_does_not_grow_with_horizon():
+    # the block holds one tile of uniforms (2 MB here) at a time, whatever the
+    # horizon; holding every tile, or two at once, would add 2 MB or more
+    specs = [
+        LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=tiles * processes.TILE // 2)
+        for tiles in (1, 4)
+    ]
+    block_finals(specs[0], 5, 0, 256)  # one-time allocations stay out of the peaks
+    peaks = []
+    for spec in specs:
+        tracemalloc.start()
+        try:
+            block_finals(spec, 5, 0, 256)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1_000_000
 
 
 def test_trace_csv_shape():
