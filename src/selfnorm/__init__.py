@@ -2,7 +2,6 @@
 
 from .bounds import (
     HolderPair,
-    WeightParam,
     ar_bound,
     ar_rate,
     baseline_bound,
@@ -25,13 +24,9 @@ from .bounds import (
 )
 from .martingale import MartingalePath, accumulate, s_weighted, supermartingale_weight
 from .montecarlo import (
-    BoundRow,
-    CompareConfig,
     Functional,
     MCEstimate,
     TailEvent,
-    compare_bounds,
-    estimate_event,
     estimate_expectation,
 )
 from .processes import (

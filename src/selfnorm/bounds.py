@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ADMISSIBLE_MIN",
     "TABLE1",
-    "WeightParam",
     "HolderPair",
     "weight_c",
     "weight_b",
@@ -52,7 +53,7 @@ TABLE1 = (
     (4 / 5, 2 / 3),
 )
 
-BASELINE_KINDS = ("BT2008", "IMPROVED", "AZUMA_IDLA", "GAUSS_AR")
+BASELINE_KINDS = ("BT2008", "AZUMA_IDLA", "GAUSS_AR")
 
 
 def _check_weight(a: float) -> None:
@@ -82,19 +83,6 @@ def weight_b(a: float) -> float:
 
 
 @dataclass(frozen=True)
-class WeightParam:
-    """The tuning knob a with its derived weights c(a) and b(a)."""
-
-    a: float
-    c: float
-    b: float
-
-    @classmethod
-    def make(cls, a: float) -> "WeightParam":
-        return cls(a=a, c=weight_c(a), b=weight_b(a))
-
-
-@dataclass(frozen=True)
 class HolderPair:
     """Moment order p with its Holder conjugate q and derived constants.
 
@@ -116,13 +104,16 @@ class HolderPair:
         return cls(p=p, q=q, B=B, C=B ** (B / 2.0))
 
 
-def hermite_margin(x: float, a: float) -> float:
-    """Slack of the pointwise inequality exp(x - a x^2/2) <= 1 + x + b(a) x^2/2.
+def hermite_margin(x, a: float):
+    """Slack of the pointwise inequality exp(x - a x^2/2) <= 1 + x + b(a) x^2/2,
+    at a float or an array x.
 
-    Nonnegative for every real x whenever a > 1/8.
+    Nonnegative for every real x whenever a > 1/8.  For huge |x| the
+    quadratic overflows to +inf, the margin's own limit.
     """
     b = weight_b(a)
-    return (1.0 + x + 0.5 * b * x * x) - math.exp(x - 0.5 * a * x * x)
+    with np.errstate(over="ignore"):
+        return (1.0 + x + 0.5 * b * x * x) - np.exp(x - 0.5 * a * x * x)
 
 
 def pab_discriminant(a: float, b: float) -> float:
@@ -195,19 +186,18 @@ def _gauss_ar_root(x: float) -> float:
 def baseline_bound(kind: str, x: float, aux: float) -> float:
     """Baseline tail bounds used for comparison tables.
 
-    kind selects the formula; aux is the variation level y for BT2008 and
-    IMPROVED, and the horizon n for AZUMA_IDLA and GAUSS_AR.
+    kind selects the formula; aux is the variation level y for BT2008, and
+    the horizon n for AZUMA_IDLA and GAUSS_AR.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
     if x <= 0.0:
         raise ValueError("x must be positive")
-    if kind in ("BT2008", "IMPROVED"):
+    if kind == "BT2008":
         y = aux
         if y <= 0.0:
             raise ValueError("y must be positive")
-        rate = {"BT2008": 0.5, "IMPROVED": 8.0 / 9.0}[kind]
-        return _cap(2.0 * math.exp(-rate * x * x / y))
+        return _cap(2.0 * math.exp(-0.5 * x * x / y))
     n = int(aux)
     if n < 1 or n != aux:
         raise ValueError(f"horizon must be a positive integer, got {aux}")
@@ -288,7 +278,7 @@ def idla_bounds(x: float, n: int, a: float) -> tuple[float, float]:
     if x <= 0.0:
         raise ValueError("x must be positive")
     cn = idla_cn(n, a)
-    dn = cn + (n + 2.0) / (3.0 * n)
+    dn = idla_dn(n, a)
     scaled = _cap(2.0 * math.exp(-n * x * x / (2.0 * a * cn)))
     sqrt_scaled = _cap(dn ** (1.0 / 3.0) * x ** (-2.0 / 3.0) * math.exp(-x * x / (3.0 * dn)))
     return scaled, sqrt_scaled
@@ -340,11 +330,14 @@ def learning_phi_inverse(r_hat: float, n: int, a: float, delta: float) -> float:
     """
     _check_narrow(a)
     _check_delta(delta)
-    if not 0.0 <= r_hat <= 1.0:
-        raise ValueError(f"r_hat must lie in [0, 1], got {r_hat}")
     floor = -a * learning_m(a) * math.log(delta)
     if n < floor:
-        raise ValueError(f"horizon n={n} below the invertibility floor {floor:g}")
+        raise ValueError(
+            f"horizon n={n} below the invertibility floor {floor:g}; "
+            f"need n >= {math.ceil(floor)}"
+        )
+    if not 0.0 <= r_hat <= 1.0:
+        raise ValueError(f"r_hat must lie in [0, 1], got {r_hat}")
     c = weight_c(a)
     B = _learning_B(n, a, delta)
     return r_hat + 0.5 * c * B + 0.5 * math.sqrt(B * (4.0 + 4.0 * c * r_hat + c * c * B))

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -204,17 +203,12 @@ def run_check(args: argparse.Namespace, check_id: str) -> int:
 
 
 def run_learning_table(args: argparse.Namespace) -> int:
-    floor = -args.a * bounds.learning_m(args.a) * math.log(args.delta)
-    if args.n < floor:
-        raise ValueError(
-            f"horizon n={args.n} below the invertibility floor {floor:g}; "
-            f"need n >= {math.ceil(floor)}"
-        )
     r_grid = args.r_grid or [i / 10 for i in range(11)]
     rows = []
     for r in r_grid:
-        oslr2 = r + bounds.learning_threshold(args.n, args.a, args.delta, 1.0)
+        # the inversion goes first: below its floor it names the least usable n
         oslr3 = bounds.learning_phi_inverse(r, args.n, args.a, args.delta)
+        oslr2 = r + bounds.learning_threshold(args.n, args.a, args.delta, 1.0)
         cbg = bounds.cbg_threshold(r, args.n, args.delta)
         rows.append(
             {

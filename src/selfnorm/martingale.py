@@ -3,12 +3,12 @@
 A :class:`MartingalePath` carries the cumulative martingale values together
 with the total and predictable quadratic variation traces of a single
 realization.  The weighted normalization and the exponential supermartingale
-weight are evaluated on top of it.
+weight are written with operators only, so one definition takes the values of
+a path at one step as floats or the finals of many replicates as arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,31 +68,22 @@ def accumulate(increments, cond_second_moments) -> MartingalePath:
     )
 
 
-def _check_index(path: MartingalePath, k: int) -> None:
-    if not 0 <= k <= path.n:
-        raise IndexError(f"index {k} out of range for a path of length {path.n}")
+def s_weighted(qv, pqv, a: float):
+    """Weighted normalization S_n(a) = [M]_n + c(a) <M>_n, of floats or of arrays.
 
-
-def s_weighted(path: MartingalePath, a: float, k: int) -> float:
-    """Weighted normalization S_k(a) = [M]_k + c(a) <M>_k."""
-    _check_index(path, k)
-    return float(path.qv[k] + weight_c(a) * path.pqv[k])
-
-
-def supermartingale_weight(path: MartingalePath, t: float, a: float, k: int) -> float:
-    """Exponential weight exp(t M_k - (a t^2/2)[M]_k - (b(a) t^2/2)<M>_k).
-
-    Computed in log-space and exponentiated once, so large |t| M_k cannot
-    overflow intermediate terms.
+    The operand order is fixed: every caller gets the same bits.
     """
-    _check_index(path, k)
+    return qv + weight_c(a) * pqv
+
+
+def supermartingale_weight(m, qv, pqv, t: float, a: float):
+    """Exponential weight exp(t M - (a t^2/2)[M] - (b(a) t^2/2)<M>), of floats
+    or of arrays.
+
+    The exponent is formed first and exponentiated once, so large |t| M
+    cannot overflow intermediate terms; an exponent past the float range
+    gives inf.
+    """
     b = weight_b(a)
-    log_v = (
-        t * float(path.m[k])
-        - 0.5 * a * t * t * float(path.qv[k])
-        - 0.5 * b * t * t * float(path.pqv[k])
-    )
-    try:
-        return math.exp(log_v)
-    except OverflowError:
-        return float("inf")
+    with np.errstate(over="ignore"):
+        return np.exp(t * m - 0.5 * a * t * t * qv - 0.5 * b * t * t * pqv)

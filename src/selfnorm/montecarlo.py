@@ -1,5 +1,4 @@
-"""Monte Carlo tail estimation, bound-vs-empirical comparison, and the table
-of checks behind ``selfnorm verify``.
+"""Monte Carlo tail estimation and the table of checks behind ``selfnorm verify``.
 
 Replicates are simulated in fixed-size chunks whose contents depend only on
 (spec, seed, replicate index), because every replicate draws from its own
@@ -17,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, processes
+from .martingale import s_weighted, supermartingale_weight
 from .processes import (
     AR1Spec,
     IDLASpec,
@@ -33,14 +33,11 @@ __all__ = [
     "ExpectationEstimate",
     "TailEvent",
     "Functional",
-    "BoundRow",
-    "CompareConfig",
     "hoeffding_epsilon",
     "summarize_indicators",
     "simulate_finals",
-    "estimate_event",
+    "event_indicator",
     "estimate_expectation",
-    "compare_bounds",
     "Check",
     "CHECKS",
     "verify",
@@ -133,7 +130,6 @@ class TailEvent:
       ar-estimator    |theta_hat - theta| >= x             (x; AR1 only)
       idla-scaled     |X_n|/n >= x                          (x; IDLA only)
       idla-sqrt       |X_n|/sqrt(n) >= x                    (x; IDLA only)
-      learn-excess    avg risk - empirical risk >= x        (x; LEARN only)
       learn-cover     avg risk >= empirical + width(delta)  (a, delta; LEARN only)
       learn-phi       avg risk >= inverted threshold        (a, delta; LEARN only)
 
@@ -153,7 +149,6 @@ _EVENT_PROCESS = {
     "ar-estimator": AR1Spec,
     "idla-scaled": IDLASpec,
     "idla-sqrt": IDLASpec,
-    "learn-excess": LearnSpec,
     "learn-cover": LearnSpec,
     "learn-phi": LearnSpec,
 }
@@ -165,10 +160,10 @@ def event_indicator(spec: ProcessSpec, event: TailEvent, finals: dict[str, np.nd
     if required is not None and not isinstance(spec, required):
         raise ValueError(f"event {event.kind!r} does not apply to {type(spec).__name__}")
     if event.kind == "mart-abs":
-        s = finals["qv"] + bounds.weight_c(event.a) * finals["pqv"]
+        s = s_weighted(finals["qv"], finals["pqv"], event.a)
         return (np.abs(finals["m"]) >= event.x) & (s <= event.y)
     if event.kind == "mart-ratio":
-        s = finals["qv"] + bounds.weight_c(event.a) * finals["pqv"]
+        s = s_weighted(finals["qv"], finals["pqv"], event.a)
         return (np.abs(finals["m"]) >= event.x * s) & (s >= event.y)
     if event.kind == "mart-pqv-ratio":
         c = bounds.weight_c(event.a)
@@ -179,7 +174,7 @@ def event_indicator(spec: ProcessSpec, event: TailEvent, finals: dict[str, np.nd
         if not event.moment > 0.0:
             raise ValueError("mart-missing requires the moment term (E[|M|^p])^(2/p)")
         hp = bounds.HolderPair.make(event.p)
-        s = finals["qv"] + bounds.weight_c(event.a) * finals["pqv"]
+        s = s_weighted(finals["qv"], finals["pqv"], event.a)
         denom = np.sqrt(event.a * s + event.moment)
         return np.abs(finals["m"]) >= event.x / math.sqrt(hp.B) * denom
     if event.kind == "ar-estimator":
@@ -188,8 +183,6 @@ def event_indicator(spec: ProcessSpec, event: TailEvent, finals: dict[str, np.nd
         return np.abs(finals["x"]) / spec.n >= event.x
     if event.kind == "idla-sqrt":
         return np.abs(finals["x"]) / math.sqrt(spec.n) >= event.x
-    if event.kind == "learn-excess":
-        return finals["r_bar"] - finals["r_hat"] >= event.x
     if event.kind == "learn-cover":
         width = bounds.learning_threshold(spec.n, event.a, event.delta, 1.0)
         return finals["r_bar"] >= finals["r_hat"] + width
@@ -202,20 +195,6 @@ def event_indicator(spec: ProcessSpec, event: TailEvent, finals: dict[str, np.nd
         )
         return finals["r_bar"] >= thresholds
     raise ValueError(f"unknown event kind {event.kind!r}")
-
-
-def estimate_event(
-    spec: ProcessSpec,
-    event: TailEvent,
-    n_samples: int,
-    seed: int,
-    alpha: float = 0.05,
-) -> MCEstimate:
-    """Estimate the probability of a tail event over independent replicates."""
-    if n_samples < MIN_REPS:
-        raise ValueError(f"n_samples must be at least {MIN_REPS}")
-    finals = simulate_finals(spec, seed, n_samples)
-    return summarize_indicators(event_indicator(spec, event, finals), alpha, seed)
 
 
 @dataclass(frozen=True)
@@ -261,16 +240,13 @@ def _expectation(
     m, qv, pqv = finals["m"], finals["qv"], finals["pqv"]
     kind = functional.kind
     if kind == "supermg-weight":
-        t, a = functional.t, functional.a
-        b = bounds.weight_b(a)
-        values = np.exp(t * m - 0.5 * a * t * t * qv - 0.5 * b * t * t * pqv)
-        return _mean_se(values, seed)
+        return _mean_se(supermartingale_weight(m, qv, pqv, functional.t, functional.a), seed)
     if kind == "laplace-s":
         # right-hand side of the infimum bound, minimized over the fixed p-grid
         x, a = functional.x, functional.a
         if not x > 0.0:
             raise ValueError("laplace-s requires positive x")
-        s = qv + bounds.weight_c(a) * pqv
+        s = s_weighted(qv, pqv, a)
         best: ExpectationEstimate | None = None
         for p in P_GRID:
             vals = np.exp(-(p - 1.0) * x * x * s / (2.0 * a))
@@ -290,58 +266,29 @@ def _expectation(
     raise ValueError(f"unknown functional kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CompareConfig:
-    a: float
-    n_samples: int
-    seed: int
-    alpha: float = 0.05
-
-
-@dataclass(frozen=True)
-class BoundRow:
-    """One threshold with every applicable bound and the empirical estimate.
-
-    satisfied is True iff ci_lo does not exceed any bound listed in
-    dominating (the bounds theory guarantees)."""
-
-    x: float
-    bounds: dict[str, float] = field(default_factory=dict)
-    dominating: tuple[str, ...] = ()
-    empirical: MCEstimate | None = None
-    satisfied: bool = True
-
-    def as_dict(self, y: float | None = None) -> dict:
-        """Output row: x, y when given, bound_<name> per bound, the estimate."""
-        head = {"x": self.x} if y is None else {"x": self.x, "y": y}
-        cols = {f"bound_{name}": value for name, value in self.bounds.items()}
-        return {**head, **cols, **_estimate_columns(self.empirical), "satisfied": self.satisfied}
-
-
 def _estimate_columns(est: MCEstimate) -> dict:
     return {"p_hat": est.p_hat, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi, "n_samples": est.n_samples}
 
 
-def _bound_row(run, x: float, check: Check) -> BoundRow:
-    """The one place that decides whether a tail row holds: ci_lo must not
-    exceed any dominating bound."""
+def _bound_row(run, x: float, check: Check) -> dict:
+    """Output row of a tail check at x: x, y when set, bound_<name> per
+    applicable bound, the estimate, and satisfied.
+
+    The one place that decides whether a tail row holds: ci_lo must not
+    exceed any dominating bound.
+    """
     cols = {name: bound(run, x) for name, bound in check.bounds.items()}
     cols = {name: value for name, value in cols.items() if value is not None}
     dom = tuple(name for name in check.dominating or cols if name in cols)
     event = TailEvent(check.event, x=x, y=run.y, a=run.a, moment=run.moment)
     est = summarize_indicators(event_indicator(run.spec, event, run.finals), run.alpha, run.seed)
-    ok = all(est.ci_lo <= cols[name] for name in dom)
-    return BoundRow(x=x, bounds=cols, dominating=dom, empirical=est, satisfied=ok)
-
-
-def compare_bounds(spec: ProcessSpec, x_grid, config: CompareConfig) -> list[BoundRow]:
-    """One BoundRow per threshold, sharing a single simulation run."""
-    xs = list(x_grid)
-    if not xs:
-        raise ValueError("x_grid must be nonempty")
-    finals = simulate_finals(spec, config.seed, config.n_samples)
-    run = SimpleNamespace(**vars(config), spec=spec, finals=finals, y=None, moment=math.nan)
-    return [_bound_row(run, x, _COMPARE_CHECKS[type(spec)]) for x in xs]
+    head = {"x": x} if run.y is None else {"x": x, "y": run.y}
+    return {
+        **head,
+        **{f"bound_{name}": value for name, value in cols.items()},
+        **_estimate_columns(est),
+        "satisfied": all(est.ci_lo <= cols[name] for name in dom),
+    }
 
 
 # x-grid rules, levels and bounds of tail checks; run holds the flag values
@@ -358,12 +305,13 @@ def _ar_limit(run) -> float:
     return math.sqrt(run.a * bounds.ar_rate(run.a, run.spec.p))
 
 
-def _s(run) -> np.ndarray:
-    return run.finals["qv"] + bounds.weight_c(run.a) * run.finals["pqv"]
-
-
 def _set_y_median_s(run) -> None:
-    run.y = float(np.median(_s(run)))
+    run.y = float(np.median(s_weighted(run.finals["qv"], run.finals["pqv"], run.a)))
+    if run.y <= 0.0:
+        raise ValueError(
+            "S_n(a) = [M]_n + c(a)<M>_n is not positive at the median; "
+            "the martingale does not move on most replicates"
+        )
 
 
 def _set_y_pqv_margin(run) -> None:
@@ -391,11 +339,8 @@ def _hermite_row(run, a: float) -> dict:
     if x_steps < 2:
         raise ValueError(f"x-steps must be at least 2, got {x_steps}")
     xs = np.linspace(-x_max, x_max, x_steps)
-    b = bounds.weight_b(a)
-    # for huge |x| the quadratic overflows to +inf, the margin's own limit
-    with np.errstate(over="ignore"):
-        margin = (1.0 + xs + 0.5 * b * xs * xs) - np.exp(xs - 0.5 * a * xs * xs)
-    disc = bounds.pab_discriminant(a, b)
+    margin = bounds.hermite_margin(xs, a)
+    disc = bounds.pab_discriminant(a, bounds.weight_b(a))
     min_margin = float(margin.min())
     return {
         "a": a,
@@ -483,11 +428,22 @@ CHECKS = {
     "kearns-saul": Check(None, 0, (0.01, 0.1, 1 / 3, 0.499, 0.5), row=_kearns_saul_row),
     "weighted-tail": Check(
         "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"])), "mart-abs",
-        {"weighted": lambda run, x: bounds.exp_tail_bound(x, run.y, run.a)},
-        prepare=_set_y_median_s, any_process=True,
+        {
+            "weighted": lambda run, x: bounds.exp_tail_bound(x, run.y, run.a),
+            # at c(a) = 1, S_n(a) is the normalizer [M]_n + <M>_n of BT2008
+            "bt2008": lambda run, x: (
+                bounds.baseline_bound("BT2008", x, run.y) if bounds.weight_c(run.a) == 1.0 else None
+            ),
+        },
+        dominating=("weighted",), prepare=_set_y_median_s, any_process=True,
     ),
     "ratio-tail": Check(
-        "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"]) / _s(run)), "mart-ratio",
+        "idla", 100_000,
+        _quantiles(
+            lambda run: np.abs(run.finals["m"])
+            / s_weighted(run.finals["qv"], run.finals["pqv"], run.a)
+        ),
+        "mart-ratio",
         {"weighted": lambda run, x: bounds.ratio_tail_bound(x, run.y, run.a)},
         prepare=_set_y_median_s, any_process=True,
     ),
@@ -533,24 +489,6 @@ CHECKS = {
     ),
 }
 
-# compare_bounds on the learning process bounds the excess risk; no verify id
-# runs it.
-_LEARN_EXCESS = Check(
-    "learn", 0, (), "learn-excess",
-    {
-        "weighted": lambda run, x: min(
-            1.0, math.exp(-run.spec.n * x * x / (2.0 * run.a * (1.0 + bounds.weight_c(run.a))))
-        ),
-        "cbc": lambda run, x: min(1.0, math.exp(-run.spec.n * x * x / 2.0)),
-    },
-)
-_COMPARE_CHECKS = {
-    AR1Spec: CHECKS["ar-estimator"],
-    IDLASpec: CHECKS["idla-scaled"],
-    LearnSpec: _LEARN_EXCESS,
-}
-
-
 def verify(check: Check, params) -> list[dict]:
     """Rows of one check for the command's flag values (params).
 
@@ -572,4 +510,4 @@ def verify(check: Check, params) -> list[dict]:
         keys = check.grid(run) if callable(check.grid) else check.grid
     if check.event is None:
         return [check.row(run, key) for key in keys]
-    return [_bound_row(run, x, check).as_dict(run.y) for x in keys]
+    return [_bound_row(run, x, check) for x in keys]

@@ -9,7 +9,6 @@ from selfnorm import bounds
 from selfnorm.bounds import (
     TABLE1,
     HolderPair,
-    WeightParam,
     ar_bound,
     ar_rate,
     baseline_bound,
@@ -43,11 +42,12 @@ class TestWeights:
 
     def test_special_values(self):
         assert weight_c(9 / 55) == pytest.approx(10.0, abs=1e-12)
+        assert weight_c(1 / 3) == 2.0
         assert weight_c(25 / 96) == pytest.approx(3.0, abs=1e-12)
         assert weight_c(500.0) == pytest.approx(1 / 1000, rel=0.01)
 
     def test_b_values(self):
-        assert weight_b(1 / 3) == pytest.approx(2 / 3, abs=1e-12)
+        assert weight_b(1 / 3) == pytest.approx(2 / 3, abs=1e-15)
         assert weight_b(9 / 16) == pytest.approx(9 / 16, abs=1e-12)
         assert 0.5 < weight_b(100.0) < 0.5002
 
@@ -73,11 +73,6 @@ class TestWeights:
         mid = (a1 + a3) / 2.0
         c = np.vectorize(weight_c)
         assert np.all(c(mid) < (c(a1) + c(a3)) / 2.0)
-
-    def test_weight_param(self):
-        wp = WeightParam.make(1 / 3)
-        assert (wp.a, wp.c) == (1 / 3, 2.0)
-        assert wp.b == pytest.approx(2 / 3, abs=1e-15)
 
 
 class TestHermite:
@@ -162,9 +157,10 @@ class TestTailBounds:
 
 class TestBaselines:
     def test_improved_dominates_bt2008(self):
+        # the weighted bound at c(a) = 1 improves the BT2008 rate 1/2 to 8/9
         for x in (0.5, 1.0, 2.0, 5.0):
             for y in (0.5, 1.0, 10.0):
-                assert baseline_bound("IMPROVED", x, y) <= baseline_bound("BT2008", x, y)
+                assert exp_tail_bound(x, y, 9 / 16) <= baseline_bound("BT2008", x, y)
 
     def test_azuma_idla(self):
         assert baseline_bound("AZUMA_IDLA", 0.2, 100) == pytest.approx(
@@ -198,7 +194,7 @@ class TestBaselines:
             assert got <= relaxed + 1e-12
 
     def test_validation(self):
-        for kind in ("NOPE", "DELYON"):
+        for kind in ("NOPE", "DELYON", "IMPROVED"):
             with pytest.raises(ValueError):
                 baseline_bound(kind, 1.0, 1.0)
         with pytest.raises(ValueError):

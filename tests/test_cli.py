@@ -203,6 +203,30 @@ def test_reps_below_floor_exits_2(capsys, check_id, reps):
     assert captured.err.splitlines() == [f"error: reps must be at least 100, got {reps}"]
 
 
+@pytest.mark.parametrize("check_id", ["weighted-tail", "ratio-tail"])
+def test_zero_normalizer_exits_2(capsys, check_id):
+    # eta 0: the learner never errs, so S_n(a) = 0 on every replicate
+    argv = ["verify", check_id, "--process", "learn", "--eta", "0", "--c0", "0.5",
+            "--theta-star", "0.5", "--n", "10", "--reps", "100"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "S_n(a)" in line
+
+
+def test_weighted_tail_bt2008_at_unit_weight(capsys):
+    # a = 9/16 gives c(a) = 1, where S_n(a) is the BT2008 normalizer; the
+    # default a keeps MART_HEADER (test_every_verify_id)
+    code, out = run(capsys, "verify", "weighted-tail", "--a", "9/16", "--n", "30",
+                    "--reps", "2000", "--seed", "3")
+    assert code == 0
+    assert out.split("\r\n")[0] == f"x,y,bound_weighted,bound_bt2008,{TAIL_COLUMNS}"
+    rows = csv_rows(out)
+    assert len(rows) == 3
+    assert all(float(r["bound_weighted"]) <= float(r["bound_bt2008"]) for r in rows)
+
+
 class TestLearningTable:
     def test_default(self, capsys):
         code, out = run(capsys, "learning-table")

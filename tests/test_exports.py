@@ -1,0 +1,37 @@
+"""Each module's __all__ matches what it defines, and the package exports resolve."""
+
+import ast
+import inspect
+
+import pytest
+
+import selfnorm
+from selfnorm import bounds, martingale, montecarlo, processes
+
+
+@pytest.mark.parametrize("module", [bounds, martingale, montecarlo, processes])
+def test_all_lists_exactly_the_public_definitions(module):
+    for name in module.__all__:
+        assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+    defined = {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    unlisted = defined - set(module.__all__)
+    assert not unlisted, f"{module.__name__} defines {unlisted} outside __all__"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(inspect.getsource(selfnorm))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for name in imported:
+        assert hasattr(selfnorm, name), f"selfnorm does not resolve {name!r}"

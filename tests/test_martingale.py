@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from selfnorm.bounds import hermite_margin
 from selfnorm.martingale import MartingalePath, accumulate, s_weighted, supermartingale_weight
 from selfnorm.processes import IDLASpec, idla_simulate
 
@@ -57,45 +58,51 @@ def test_bad_start_rejected():
 class TestSWeighted:
     def test_zero_at_origin(self):
         path = accumulate([1.0, -2.0], [1.0, 4.0])
-        assert s_weighted(path, 1 / 3, 0) == 0.0
+        assert s_weighted(path.qv[0], path.pqv[0], 1 / 3) == 0.0
 
     def test_equal_variations_collapse(self):
         # qv[k] = pqv[k] = v gives (1 + c(a)) v
         path = accumulate([2.0], [4.0])
-        assert s_weighted(path, 1 / 3, 1) == pytest.approx(3.0 * 4.0, abs=1e-12)
+        assert s_weighted(path.qv[1], path.pqv[1], 1 / 3) == pytest.approx(3.0 * 4.0, abs=1e-12)
         # a = 9/16: c = 1, so S = qv + pqv
-        assert s_weighted(path, 9 / 16, 1) == pytest.approx(8.0, abs=1e-12)
+        assert s_weighted(path.qv[1], path.pqv[1], 9 / 16) == pytest.approx(8.0, abs=1e-12)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(2)
         path = accumulate(rng.normal(size=100), rng.uniform(size=100))
         for a in (0.13, 1 / 3, 9 / 16, 3.0):
-            values = [s_weighted(path, a, k) for k in range(path.n + 1)]
-            assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+            values = s_weighted(path.qv, path.pqv, a)
+            assert np.all(np.diff(values) >= 0.0)
 
-    def test_index_and_domain_errors(self):
+    def test_domain_error(self):
         path = accumulate([1.0], [1.0])
-        with pytest.raises(IndexError):
-            s_weighted(path, 1 / 3, 2)
         with pytest.raises(ValueError):
-            s_weighted(path, 0.1, 1)
+            s_weighted(path.qv[1], path.pqv[1], 0.1)
 
 
 class TestSupermartingaleWeight:
+    @staticmethod
+    def weight(path, t, a, k):
+        return supermartingale_weight(path.m[k], path.qv[k], path.pqv[k], t, a)
+
     def test_t_zero_is_one(self):
         path = accumulate([1.0, 2.0], [1.0, 4.0])
         for k in range(3):
-            assert supermartingale_weight(path, 0.0, 1 / 3, k) == 1.0
+            assert self.weight(path, 0.0, 1 / 3, k) == 1.0
 
     def test_zero_path_is_one(self):
         path = accumulate([0.0] * 5, [0.0] * 5)
         for t in (-2.0, 0.5, 10.0):
-            assert supermartingale_weight(path, t, 1 / 3, 5) == 1.0
+            assert self.weight(path, t, 1 / 3, 5) == 1.0
 
     def test_positive_and_no_overflow(self):
         path = accumulate([1e3] * 10, [1e6] * 10)
-        v = supermartingale_weight(path, 5.0, 1 / 3, 10)
+        v = self.weight(path, 5.0, 1 / 3, 10)
         assert v >= 0.0 and np.isfinite(v)
+
+    def test_overflow_is_inf(self):
+        # an exponent past the float range gives inf, with no warning raised
+        assert supermartingale_weight(1e3, 0.0, 0.0, 1.0, 1 / 3) == np.inf
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
     def test_matches_direct_formula(self, t):
@@ -104,9 +111,30 @@ class TestSupermartingaleWeight:
         expected = np.exp(
             t * path.m[2] - a * t * t / 2 * path.qv[2] - b * t * t / 2 * path.pqv[2]
         )
-        assert supermartingale_weight(path, t, 1 / 3, 2) == pytest.approx(
-            float(expected), rel=1e-12
-        )
+        assert self.weight(path, t, 1 / 3, 2) == pytest.approx(float(expected), rel=1e-12)
+
+
+def test_array_forms_equal_float_forms():
+    # one definition: on an array, each formula gives bit for bit what it
+    # gives on each element as a Python float
+    rng = np.random.default_rng(3)
+    path = accumulate(rng.normal(size=300), rng.uniform(size=300))
+    xs = np.concatenate((np.linspace(-60.0, 60.0, 241), [1e160, -1e160]))
+    for a in (0.13, 1 / 3, 9 / 16, 3.0):
+        s = s_weighted(path.qv, path.pqv, a)
+        assert s.tobytes() == np.array(
+            [s_weighted(float(q), float(v), a) for q, v in zip(path.qv, path.pqv)]
+        ).tobytes()
+        for t in (-2.0, -0.05, 0.01, 3.0):
+            w = supermartingale_weight(path.m, path.qv, path.pqv, t, a)
+            assert w.tobytes() == np.array(
+                [
+                    supermartingale_weight(float(m), float(q), float(v), t, a)
+                    for m, q, v in zip(path.m, path.qv, path.pqv)
+                ]
+            ).tobytes()
+        margin = hermite_margin(xs, a)
+        assert margin.tobytes() == np.array([hermite_margin(float(x), a) for x in xs]).tobytes()
 
 
 def test_idla_trace_pqv_identity():

@@ -7,24 +7,30 @@ import pytest
 from selfnorm import montecarlo
 from selfnorm.bounds import exp_tail_bound
 from selfnorm.montecarlo import (
+    CHECKS,
     Check,
-    CompareConfig,
     Functional,
     TailEvent,
-    compare_bounds,
-    estimate_event,
     estimate_expectation,
+    event_indicator,
     hoeffding_epsilon,
     simulate_finals,
     summarize_indicators,
     verify,
 )
-from selfnorm.processes import AR1Spec, IDLASpec, LearnSpec, idla_exact_moments
+from selfnorm.processes import IDLASpec, idla_exact_moments
 
 
-AR = AR1Spec(p=1 / 3, theta=0.5, n=50)
 IDLA = IDLASpec(n=50)
-LEARN = LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=50)
+
+
+def params(**overrides):
+    """Flag values of a verify command at horizon 50, the horizon of IDLA."""
+    flags = dict(
+        reps=4096, process=None, seed=7, alpha=0.05, a=1 / 3, n=50, x_grid=None,
+        p=1 / 3, theta=0.5, theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, delta=0.2,
+    )
+    return SimpleNamespace(**{**flags, **overrides})
 
 
 class TestHoeffding:
@@ -73,10 +79,10 @@ class TestDeterminism:
             assert np.array_equal(default[key], small[key])
 
     def test_event_estimate_chunk_independent(self, monkeypatch):
-        ev = TailEvent("ar-estimator", x=0.1)
-        a = estimate_event(AR, ev, 8192, seed=5)
+        flags = params(reps=8192, seed=5, x_grid=[0.1])
+        a = verify(CHECKS["ar-estimator"], flags)
         monkeypatch.setattr(montecarlo, "CHUNK", 1000)
-        b = estimate_event(AR, ev, 8192, seed=5)
+        b = verify(CHECKS["ar-estimator"], flags)
         assert a == b
 
     def test_partial_chunk(self):
@@ -88,29 +94,32 @@ class TestDeterminism:
 class TestEvents:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
-            estimate_event(IDLA, TailEvent("idla-scaled", x=0.1), 50, seed=0)
+            verify(CHECKS["idla-scaled"], params(reps=50, seed=0, x_grid=[0.1]))
 
     def test_unknown_kind(self):
         finals = simulate_finals(IDLA, seed=0, n_samples=256)
-        from selfnorm.montecarlo import event_indicator
-
         with pytest.raises(ValueError):
             event_indicator(IDLA, TailEvent("no-such-event", x=0.1), finals)
 
     def test_process_mismatch(self):
+        finals = simulate_finals(IDLA, seed=0, n_samples=256)
         with pytest.raises(ValueError):
-            estimate_event(IDLA, TailEvent("ar-estimator", x=0.1), 256, seed=0)
+            event_indicator(IDLA, TailEvent("ar-estimator", x=0.1), finals)
 
     def test_weighted_tail_respects_bound(self):
         # |M_n| >= x with S_n(a) <= y should sit below 2 exp(-x^2 / (2 a y))
-        a, x, y = 1 / 3, 40.0, 600.0
-        est = estimate_event(IDLA, TailEvent("mart-abs", x=x, y=y, a=a), 20_000, seed=9)
-        assert est.ci_lo <= exp_tail_bound(x, y, a)
+        check = Check(
+            "idla", 0, (40.0,), "mart-abs",
+            {"weighted": lambda run, x: exp_tail_bound(x, run.y, run.a)},
+            prepare=lambda run: setattr(run, "y", 600.0),
+        )
+        (row,) = verify(check, params(reps=20_000, seed=9))
+        assert row["y"] == 600.0
+        assert row["ci_lo"] <= row["bound_weighted"] == exp_tail_bound(40.0, 600.0, 1 / 3)
+        assert row["satisfied"]
 
     def test_missing_moment_required(self):
         finals = simulate_finals(IDLA, seed=0, n_samples=256)
-        from selfnorm.montecarlo import event_indicator
-
         with pytest.raises(ValueError):
             event_indicator(IDLA, TailEvent("mart-missing", x=1.0, a=1 / 3), finals)
 
@@ -163,41 +172,35 @@ class TestExpectations:
 
 
 class TestCompare:
-    def test_single_threshold(self):
-        cfg = CompareConfig(a=1 / 3, n_samples=4096, seed=7)
-        rows = compare_bounds(IDLA, [0.2], cfg)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.x == 0.2
-        assert set(row.bounds) == {"weighted", "azuma"}
-        assert row.dominating == ("weighted", "azuma")
-        assert row.satisfied
+    """Bound columns of the tail checks held against the estimate."""
 
-    def test_empty_grid_rejected(self):
-        cfg = CompareConfig(a=1 / 3, n_samples=4096, seed=7)
-        with pytest.raises(ValueError):
-            compare_bounds(IDLA, [], cfg)
+    def test_single_threshold(self):
+        (row,) = verify(CHECKS["idla-scaled"], params(x_grid=[0.2], seed=7))
+        assert row["x"] == 0.2
+        assert {k for k in row if k.startswith("bound_")} == {"bound_weighted", "bound_azuma"}
+        # no dominating list: every bound column is held against ci_lo
+        assert CHECKS["idla-scaled"].dominating == ()
+        assert row["satisfied"]
 
     def test_ar_out_of_range_drops_weighted(self):
-        cfg = CompareConfig(a=1 / 3, n_samples=4096, seed=8)
-        rows = compare_bounds(AR, [5.0], cfg)
-        assert "weighted" not in rows[0].bounds
-        assert "gauss-ar" in rows[0].bounds
+        (row,) = verify(CHECKS["ar-estimator"], params(x_grid=[5.0], seed=8))
+        assert "bound_weighted" not in row
+        assert "bound_gauss-ar" in row
 
     def test_learning_rows_satisfied(self):
-        cfg = CompareConfig(a=1 / 3, n_samples=4096, seed=10)
-        rows = compare_bounds(LEARN, [0.1, 0.2, 0.3], cfg)
-        assert all(row.satisfied for row in rows)
+        # the excess-risk bound exp(-n x^2/(2a(1+c(a)))) at x = 0.1, 0.2, 0.3 is
+        # the coverage level delta whose width(delta) is x
+        for x in (0.1, 0.2, 0.3):
+            delta = math.exp(-50 * x * x / (2.0 * (1 / 3) * 3.0))
+            (row,) = verify(CHECKS["learn-threshold"], params(delta=delta, seed=10))
+            assert row["satisfied"]
 
 
 class TestVerify:
     @staticmethod
     def tail_row(bound_columns, dominating=()):
         check = Check("idla", 0, (0.1,), "idla-scaled", bound_columns, dominating)
-        params = SimpleNamespace(
-            reps=1000, process=None, seed=1, alpha=0.05, a=1 / 3, n=50, x_grid=None
-        )
-        return verify(check, params)[0]
+        return verify(check, params(reps=1000, seed=1))[0]
 
     def test_tail_pass_rule(self):
         row = self.tail_row({"loose": lambda run, x: 1.0})
