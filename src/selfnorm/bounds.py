@@ -70,16 +70,23 @@ def _check_narrow(a: float) -> None:
         raise ValueError(f"a must lie in (1/8, 9/16], got {a}")
 
 
+def _weight_factor(a: float) -> float:
+    """1 - 2a + 2 sqrt(a(a+1)), written as 1 + 2a/(a + sqrt(a(a+1))): the
+    first form subtracts nearly equal terms and is 0.0 at a = 1e16."""
+    _check_weight(a)
+    return 1.0 + 2.0 * a / (a + math.sqrt(a * (a + 1.0)))
+
+
 def weight_c(a: float) -> float:
     """Mixing weight c(a) = 2(1 - 2a + 2*sqrt(a(a+1)))/(8a - 1)."""
-    _check_weight(a)
-    return 2.0 * (1.0 - 2.0 * a + 2.0 * math.sqrt(a * (a + 1.0))) / (8.0 * a - 1.0)
+    return 2.0 * _weight_factor(a) / (8.0 * a - 1.0)
 
 
 def weight_b(a: float) -> float:
     """Companion weight b(a) = a * c(a); always > 1/2."""
-    _check_weight(a)
-    return 2.0 * a * (1.0 - 2.0 * a + 2.0 * math.sqrt(a * (a + 1.0))) / (8.0 * a - 1.0)
+    # b(a) - 1/2 is about 1/(32 a^2), below half an ulp of 1/2 from a ~ 2.4e7
+    # on, where the rounded quotient could land under 1/2; 1/2 is nearer
+    return max(0.5, 2.0 * a * _weight_factor(a) / (8.0 * a - 1.0))
 
 
 @dataclass(frozen=True)
@@ -322,8 +329,9 @@ def learning_phi(x: float, n: int, a: float, delta: float) -> float:
     return x - math.sqrt(B * (1.0 + weight_c(a) * x))
 
 
-def learning_phi_inverse(r_hat: float, n: int, a: float, delta: float) -> float:
-    """Explicit risk threshold: inverse of learning_phi at the empirical risk.
+def learning_phi_inverse(r_hat, n: int, a: float, delta: float):
+    """Explicit risk threshold: inverse of learning_phi at the empirical risk,
+    a float or an array of them.
 
     Requires n >= -a m(a) log(delta); below that floor the forward map is
     not guaranteed monotone and the inversion is refused.
@@ -336,11 +344,15 @@ def learning_phi_inverse(r_hat: float, n: int, a: float, delta: float) -> float:
             f"horizon n={n} below the invertibility floor {floor:g}; "
             f"need n >= {math.ceil(floor)}"
         )
-    if not 0.0 <= r_hat <= 1.0:
-        raise ValueError(f"r_hat must lie in [0, 1], got {r_hat}")
+    r = np.asarray(r_hat)
+    outside = r[~((0.0 <= r) & (r <= 1.0))]
+    if outside.size:
+        raise ValueError(f"r_hat must lie in [0, 1], got {outside[0]}")
     c = weight_c(a)
     B = _learning_B(n, a, delta)
-    return r_hat + 0.5 * c * B + 0.5 * math.sqrt(B * (4.0 + 4.0 * c * r_hat + c * c * B))
+    phi = r_hat + 0.5 * c * B + 0.5 * np.sqrt(B * (4.0 + 4.0 * c * r_hat + c * c * B))
+    # np.sqrt rounds as math.sqrt does; a float r_hat gets a float back
+    return float(phi) if np.ndim(phi) == 0 else phi
 
 
 def cbg_threshold(r_hat: float, n: int, delta: float) -> float:

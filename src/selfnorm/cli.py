@@ -14,10 +14,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import __version__, bounds, montecarlo
 from .bounds import TABLE1
-from .processes import PROCESSES, make_spec, simulate, trace_to_csv
+from .processes import PROCESSES, TILE, ProcessTrace, make_spec, simulate, trace_to_csv
 
 DEFAULT_A_GRID = (0.13, 0.2, 1 / 3, 9 / 16, 1.0, 2.0, 10.0)
 
@@ -123,18 +124,25 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser({k.replace("-", "_"): v for k, v in cfg.items()}).parse_args(argv)
 
 
+def _json_doc(rows: list, args: argparse.Namespace) -> dict:
+    config = {
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in ("out",) and not callable(v)
+    }
+    return {
+        "header": {"config": config, "seed": args.seed, "version": __version__},
+        "rows": rows,
+    }
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+
+
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
     if args.format == "json":
-        config = {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("out",) and not callable(v)
-        }
-        doc = {
-            "header": {"config": config, "seed": args.seed, "version": __version__},
-            "rows": rows,
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+        text = _dumps(_json_doc(rows, args))
     else:
         buf = io.StringIO()
         if rows:
@@ -142,16 +150,36 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
-    _write(text, args)
+    _write([text], args)
 
 
-def _write(text: str, args: argparse.Namespace) -> None:
-    """Write text to --out, or to stdout without it."""
+def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
+    """Write the text chunks in order to --out, or to stdout without it."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+# One trace row as _dumps lays it out inside the "rows" list.  simulate has
+# rejected non-finite traces, and repr writes a finite float as json does.
+_JSON_TRACE_ROW = '{\n      "m": %r,\n      "pqv": %r,\n      "qv": %r,\n      "step": %d\n    }'
+
+
+def _trace_json(trace: ProcessTrace, args: argparse.Namespace) -> Iterator[str]:
+    """The JSON document of a trace, with its rows rendered TILE at a time."""
+    # "rows" sorts after "header", so the placeholder is the document's last value
+    placeholder = "ROWS"
+    head, _, tail = _dumps(_json_doc([placeholder], args)).rpartition(json.dumps(placeholder))
+    yield head
+    path = trace.path
+    for lo in range(0, path.n + 1, TILE):
+        hi = lo + TILE
+        rows = zip(path.m[lo:hi].tolist(), path.pqv[lo:hi].tolist(), path.qv[lo:hi].tolist(), range(lo, hi))
+        block = ",\n    ".join(_JSON_TRACE_ROW % row for row in rows)
+        yield block if lo == 0 else ",\n    " + block
+    yield tail
 
 
 def _a_grid(args: argparse.Namespace):
@@ -175,21 +203,15 @@ def run_weights(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    """Simulate one trace and write it TILE rows at a time, so no more than
+    one block of its text is held at once."""
     spec = make_spec(args.process, args)
     trace = simulate(spec, args.seed)
     if args.format == "csv":
-        _write(trace_to_csv(trace), args)
+        blocks = range(0, trace.path.n + 1, TILE)
+        _write((trace_to_csv(trace, lo, lo + TILE) for lo in blocks), args)
     else:
-        rows = [
-            {
-                "step": k,
-                "m": float(trace.path.m[k]),
-                "qv": float(trace.path.qv[k]),
-                "pqv": float(trace.path.pqv[k]),
-            }
-            for k in range(trace.path.n + 1)
-        ]
-        _emit(rows, args)
+        _write(_trace_json(trace, args), args)
     return 0
 
 

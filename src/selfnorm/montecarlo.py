@@ -187,12 +187,8 @@ def event_indicator(spec: ProcessSpec, event: TailEvent, finals: dict[str, np.nd
         width = bounds.learning_threshold(spec.n, event.a, event.delta, 1.0)
         return finals["r_bar"] >= finals["r_hat"] + width
     if event.kind == "learn-phi":
-        thresholds = np.array(
-            [
-                bounds.learning_phi_inverse(min(1.0, r), spec.n, event.a, event.delta)
-                for r in finals["r_hat"]
-            ]
-        )
+        r_hat = np.minimum(finals["r_hat"], 1.0)
+        thresholds = bounds.learning_phi_inverse(r_hat, spec.n, event.a, event.delta)
         return finals["r_bar"] >= thresholds
     raise ValueError(f"unknown event kind {event.kind!r}")
 

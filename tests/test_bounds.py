@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +69,36 @@ class TestWeights:
     def test_b_above_half_c_positive(self, a):
         assert weight_c(a) > 0.0
         assert weight_b(a) > 0.5
+
+    @given(st.floats(min_value=0.125, max_value=1.3e154, exclude_min=True))
+    def test_b_above_half_c_positive_everywhere(self, a):
+        # every finite admissible a: a(a+1) overflows from a ~ 1.34e154 on.
+        # b(a) - 1/2 is about 1/(32 a^2), which rounds away from a ~ 2.4e7
+        # on, so the double nearest b(a) is 1/2 there
+        assert weight_c(a) > 0.0
+        assert weight_b(a) > 0.5 if a <= 1e7 else weight_b(a) >= 0.5
+
+    def test_matches_50_digit_reference(self):
+        # in doubles, the subtractive form 1 - 2a + 2 sqrt(a(a+1)) gave
+        # c = b = 0.0 at 1e16; in decimal it loses about log10(a) digits, so
+        # the working precision grows by that many and 50 digits remain
+        for a in np.geomspace(0.125, 1e150, 601)[1:]:
+            with localcontext() as ctx:
+                ctx.prec = 50 + max(0, math.ceil(math.log10(a)))
+                d = Decimal(float(a))
+                c = 2 * (1 - 2 * d + 2 * (d * (d + 1)).sqrt()) / (8 * d - 1)
+                for got, exact in ((weight_c(a), c), (weight_b(a), d * c)):
+                    assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(float(exact))), a
+
+    def test_table1_exact_rationals(self):
+        # c(a) is rational at each Table-1 a; the weights land within one
+        # ulp of it, though a itself is rounded to the nearest double
+        for a, c in zip(
+            map(Fraction, ("9/55", "4/21", "9/40", "25/96", "1/3", "9/16", "49/72", "4/5")),
+            map(Fraction, ("10", "6", "4", "3", "2", "1", "4/5", "2/3")),
+        ):
+            for got, exact in ((weight_c(float(a)), c), (weight_b(float(a)), a * c)):
+                assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact))), (a, got)
 
     def test_c_strictly_convex_on_grid(self):
         a1, a3 = A_GRID[:-2], A_GRID[2:]
@@ -361,6 +393,22 @@ class TestLearning:
         cbg = [cbg_threshold(r, 100, 0.2) for r in grid]
         assert all(b > a for a, b in zip(inv, inv[1:]))
         assert all(b > a for a, b in zip(cbg, cbg[1:]))
+
+    def test_phi_inverse_array_equals_floats(self):
+        r_hat = np.concatenate((np.linspace(0.0, 1.0, 1001), np.random.default_rng(3).random(1000)))
+        got = learning_phi_inverse(r_hat, 100, 1 / 3, 0.2)
+        expected = [learning_phi_inverse(float(r), 100, 1 / 3, 0.2) for r in r_hat]
+        assert all(type(x) is float for x in expected)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_phi_inverse_range_checks_every_element(self):
+        for bad in (-1e-300, 1.0 + 1e-15, math.nan):
+            r_hat = np.full(100, 0.5)
+            r_hat[57] = bad
+            with pytest.raises(ValueError, match="r_hat must lie in"):
+                learning_phi_inverse(r_hat, 100, 1 / 3, 0.2)
+            with pytest.raises(ValueError, match="r_hat must lie in"):
+                learning_phi_inverse(bad, 100, 1 / 3, 0.2)
 
     def test_cbg_values(self):
         assert cbg_threshold(0.0, 100, 0.2) == pytest.approx(0.9748980723967956, abs=1e-12)

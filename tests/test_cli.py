@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from selfnorm import __version__, cli
 from selfnorm.cli import main, parse_real, parse_real_list
 from selfnorm.bounds import TABLE1
 from selfnorm import montecarlo
+from selfnorm.processes import TILE, make_spec, simulate
 from selfnorm.montecarlo import CHECKS
 
 
@@ -395,3 +398,70 @@ def test_help_and_version_exit_0(capsys, flag):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out and captured.err == ""
+
+
+class TestSimulateStreaming:
+    """simulate writes its trace TILE rows at a time; the bytes are those of
+    the whole document, and the memory used for them stays flat in n."""
+
+    @pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("process", ["ar1", "idla", "learn"])
+    def test_stdout_equals_out_file(self, capsys, tmp_path, process, fmt, n):
+        argv = ["simulate", process, "--n", str(n), "--seed", "4", "--format", fmt]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "trace"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode()
+        rows = json.loads(out)["rows"] if fmt == "json" else csv_rows(out)
+        assert len(rows) == n + 1
+
+    @pytest.mark.parametrize("process", ["ar1", "idla", "learn"])
+    def test_json_is_json_dumps_of_the_document(self, capsys, process):
+        argv = ["simulate", process, "--n", "9", "--seed", "2", "--format", "json"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        path = simulate(make_spec(process, cli._parse_args(argv)), 2).path
+        rows = [
+            {"step": k, "m": float(path.m[k]), "qv": float(path.qv[k]), "pqv": float(path.pqv[k])}
+            for k in range(10)
+        ]
+        header = json.loads(out)["header"]
+        assert header["seed"] == 2 and header["version"] == __version__
+        doc = {"header": header, "rows": rows}
+        assert out == json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emission_memory_flat_in_horizon(self, tmp_path, monkeypatch, fmt):
+        # memory held beyond the trace while its output is written; writing
+        # the whole document at once would add about 3 MB (CSV) or 16 MB
+        # (JSON) from 4 to 40 tiles
+        held = []
+
+        def simulate_and_mark(spec, seed):
+            trace = simulate(spec, seed)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return trace
+
+        monkeypatch.setattr(cli, "simulate", simulate_and_mark)
+        extra = []
+        for tiles in (1, 4, 40):  # the first run takes one-time allocations
+            argv = ["simulate", "ar1", "--n", str(tiles * TILE), "--format", fmt]
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--out", str(tmp_path / "trace")]) == 0
+                extra.append(tracemalloc.get_traced_memory()[1] - held[-1])
+            finally:
+                tracemalloc.stop()
+        assert abs(extra[2] - extra[1]) <= 1_000_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_trace_writes_nothing(self, capsys, tmp_path, fmt):
+        path = tmp_path / "trace"
+        argv = ["simulate", "ar1", "--theta", "1e200", "--n", "50", "--format", fmt]
+        assert_one_error_line(main(argv + ["--out", str(path)]), capsys.readouterr())
+        assert not path.exists()
+        assert_one_error_line(main(argv), capsys.readouterr())

@@ -35,3 +35,20 @@ def test_package_imports_resolve():
     assert imported
     for name in imported:
         assert hasattr(selfnorm, name), f"selfnorm does not resolve {name!r}"
+
+
+def test_benchmark_hooks_exist():
+    # perfbench/trace_cli.py wraps these by name; losing one silently stops
+    # every traced benchmark run from timing its layer
+    for name in (
+        "ar1_finals",
+        "idla_finals",
+        "learning_finals",
+        "ar1_simulate",
+        "idla_simulate",
+        "learning_simulate",
+    ):
+        assert callable(getattr(processes, name)), name
+    assert callable(montecarlo.estimate_expectation)
+    trace = processes.simulate(processes.IDLASpec(n=3), seed=1)
+    assert isinstance(processes.trace_to_csv(trace), str)

@@ -318,3 +318,25 @@ def test_trace_csv_shape():
     assert lines[0] == "step,m,qv,pqv,x,l,r"
     assert len(lines) == 6
     assert text.endswith("\r\n")
+
+
+@pytest.mark.parametrize("tile", [1, 7, None])
+@pytest.mark.parametrize("process", sorted(KERNEL_CASES))
+def test_trace_csv_blocks_join_to_whole(process, tile, monkeypatch):
+    if tile:
+        monkeypatch.setattr(processes, "TILE", tile)
+    spec, seed, _ = KERNEL_CASES[process]
+    # the horizon ends inside a block whatever the tile
+    trace = simulate(dataclasses.replace(spec, n=2 * processes.TILE + 3), seed=seed)
+    whole = trace_to_csv(trace)
+    # each row as repr of each value, in the header's column order
+    header, _ = whole.split("\r\n", 1)
+    step, *cols = header.split(",")
+    series = [trace.stats[c] if c in trace.stats else getattr(trace.path, c) for c in cols]
+    rows = [",".join([str(k)] + [repr(float(v[k])) for v in series]) for k in range(trace.path.n + 1)]
+    assert (step, *cols[:3]) == ("step", "m", "qv", "pqv")
+    assert whole == "\r\n".join([header, *rows, ""])
+    blocks = range(0, trace.path.n + 1, processes.TILE)
+    assert "".join(trace_to_csv(trace, lo, lo + processes.TILE) for lo in blocks) == whole
+    assert trace_to_csv(trace, 0, 1).count("\r\n") == 2  # the header and step 0
+    assert trace_to_csv(trace, 3, 3) == ""
