@@ -23,12 +23,7 @@ from .bounds import (
     weight_c,
 )
 from .martingale import MartingalePath, accumulate, s_weighted, supermartingale_weight
-from .montecarlo import (
-    Functional,
-    MCEstimate,
-    TailEvent,
-    estimate_expectation,
-)
+from .montecarlo import MCEstimate, estimate_expectation
 from .processes import (
     AR1Spec,
     IDLASpec,

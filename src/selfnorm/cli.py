@@ -83,8 +83,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     h = subs.add_parser("hermite", help="pointwise inequality margin suite")
     h.add_argument("--a-grid", default="default")
-    h.add_argument("--x-max", type=parse_real, default=50.0)
-    h.add_argument("--x-steps", type=int, default=100_001)
+    h.add_argument("--x-max", type=parse_real, default=montecarlo.HERMITE_X_MAX)
+    h.add_argument("--x-steps", type=int, default=montecarlo.HERMITE_X_STEPS)
     _add_common(h)
 
     s = subs.add_parser("simulate", help="emit one process trace")

@@ -5,6 +5,7 @@ the same condition, so the suite doubles as a human-readable report.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,14 +49,11 @@ def test_01_weight_table():
 
 
 def test_02_pointwise_margin_grid():
-    xs = np.linspace(-50.0, 50.0, 100_001)
-    worst_margin = math.inf
-    worst_disc = 0.0
-    for a in A_GRID:
-        b = bounds.weight_b(a)
-        margin = (1.0 + xs + 0.5 * b * xs * xs) - np.exp(xs - 0.5 * a * xs * xs)
-        worst_margin = min(worst_margin, float(margin.min()))
-        worst_disc = max(worst_disc, abs(bounds.pab_discriminant(a, b)))
+    # the hermite entry on its default grid of 100001 points over [-50, 50]
+    rows = montecarlo.verify(montecarlo.CHECKS["hermite"], SimpleNamespace(a_grid=A_GRID))
+    assert [row["a"] for row in rows] == list(A_GRID)
+    worst_margin = min(row["min_margin"] for row in rows)
+    worst_disc = max(abs(row["discriminant_at_b"]) for row in rows)
     ok = worst_margin >= -1e-12 and worst_disc <= 1e-10
     assert report(
         2,
@@ -125,7 +123,7 @@ def test_06_idla_tail_dominance(idla100):
     ok = True
     for a in (1 / 3, 25 / 96):
         for x in (0.1, 0.2, 0.3, 0.4):
-            est = summarize_indicators(scaled >= x, ALPHA, 101)
+            est = summarize_indicators(scaled >= x, ALPHA)
             new_bound, _ = bounds.idla_bounds(x, n, a)
             azuma = bounds.baseline_bound("AZUMA_IDLA", x, n)
             ok &= est.ci_lo <= new_bound
@@ -145,7 +143,7 @@ def test_07_ar_suite():
             dev = np.abs(finals["theta_hat"] - theta)
             for frac in (0.05, 0.1, 0.2, 0.4):
                 x = frac * limit
-                est = summarize_indicators(dev >= x, ALPHA, 71)
+                est = summarize_indicators(dev >= x, ALPHA)
                 ok &= est.ci_lo <= bounds.ar_bound(x, spec.n, p, a)
             t = -1.0 / (2.0 * spec.sigma2)
             vals = np.exp(t * finals["pqv"])
@@ -158,13 +156,10 @@ def test_07_ar_suite():
 
 
 def test_08_two_point_mgf_grid():
-    s = np.linspace(-20.0, 20.0, 8001)
-    worst = 0.0
-    for p in (0.01, 0.1, 1 / 3, 0.499, 0.5):
-        q = 1.0 - p
-        lhs = p * np.exp(q * s) + q * np.exp(-p * s)
-        rhs = np.exp(bounds.kearns_saul_phi(p) * s * s / 4.0)
-        worst = max(worst, float(np.max(lhs / rhs)) - 1.0)
+    # the kearns-saul entry: max over 8001 points of [-20, 20] per p
+    rows = montecarlo.verify(montecarlo.CHECKS["kearns-saul"], SimpleNamespace())
+    assert [row["p"] for row in rows] == [0.01, 0.1, 1 / 3, 0.499, 0.5]
+    worst = max(0.0, *(row["max_ratio"] - 1.0 for row in rows))
     ok = worst <= 1e-12
     assert report(8, "two-point moment generating bound", ok, f"max rel excess {worst:.2e}")
 

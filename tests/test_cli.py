@@ -90,6 +90,12 @@ class TestHermite:
         code = main(["hermite", "--x-max", "1e308", "--x-steps", "101"])
         assert_one_error_line(code, capsys.readouterr())
 
+    def test_verify_hermite_matches_hermite(self, capsys):
+        # verify hermite has no grid flags and runs on hermite's defaults
+        hermite = run(capsys, "hermite")
+        assert hermite == run(capsys, "verify", "hermite")
+        assert hermite[0] == 0 and len(csv_rows(hermite[1])) == 7
+
     @pytest.mark.parametrize("steps", ["0", "1"])
     def test_too_few_x_steps(self, capsys, steps):
         code = main(["hermite", "--x-steps", steps])

@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import selfnorm
-from selfnorm import bounds, martingale, montecarlo, processes
+from selfnorm import bounds, cli, martingale, montecarlo, processes
 
 
 @pytest.mark.parametrize("module", [bounds, martingale, montecarlo, processes])
@@ -38,17 +38,31 @@ def test_package_imports_resolve():
 
 
 def test_benchmark_hooks_exist():
-    # perfbench/trace_cli.py wraps these by name; losing one silently stops
-    # every traced benchmark run from timing its layer
-    for name in (
-        "ar1_finals",
-        "idla_finals",
-        "learning_finals",
-        "ar1_simulate",
-        "idla_simulate",
-        "learning_simulate",
-    ):
-        assert callable(getattr(processes, name)), name
-    assert callable(montecarlo.estimate_expectation)
+    # perfbench/trace_cli.py::install wraps these by name; losing one raises
+    # AttributeError in every traced benchmark run
+    hooks = {
+        processes: (
+            "uniform_rows",
+            "trace_to_csv",
+            "simulate",
+            "ar1_finals",
+            "idla_finals",
+            "learning_finals",
+            "ar1_simulate",
+            "idla_simulate",
+            "learning_simulate",
+        ),
+        martingale: ("accumulate",),
+        montecarlo: (
+            "simulate_finals",
+            "event_indicator",
+            "summarize_indicators",
+            "estimate_expectation",
+        ),
+        cli: ("main",),
+    }
+    for module, names in hooks.items():
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
     trace = processes.simulate(processes.IDLASpec(n=3), seed=1)
     assert isinstance(processes.trace_to_csv(trace), str)

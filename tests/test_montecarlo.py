@@ -6,11 +6,10 @@ import pytest
 
 from selfnorm import montecarlo
 from selfnorm.bounds import exp_tail_bound
+from selfnorm.martingale import supermartingale_weight
 from selfnorm.montecarlo import (
     CHECKS,
     Check,
-    Functional,
-    TailEvent,
     estimate_expectation,
     event_indicator,
     hoeffding_epsilon,
@@ -51,20 +50,20 @@ class TestHoeffding:
         covered = 0
         repeats = 200
         for _ in range(repeats):
-            est = summarize_indicators(rng.random(2000) < 0.3, alpha=0.05, seed=0)
+            est = summarize_indicators(rng.random(2000) < 0.3, alpha=0.05)
             covered += est.ci_lo <= 0.3 <= est.ci_hi
         assert covered / repeats >= 0.95
 
 
 class TestSummarize:
     def test_never_firing_event(self):
-        est = summarize_indicators(np.zeros(400, dtype=bool), alpha=0.05, seed=1)
+        est = summarize_indicators(np.zeros(400, dtype=bool), alpha=0.05)
         assert est.p_hat == 0.0
         assert est.ci_lo == 0.0
         assert est.ci_hi == pytest.approx(hoeffding_epsilon(400, 0.05), abs=1e-15)
 
     def test_always_firing_event(self):
-        est = summarize_indicators(np.ones(400, dtype=bool), alpha=0.05, seed=1)
+        est = summarize_indicators(np.ones(400, dtype=bool), alpha=0.05)
         assert est.p_hat == 1.0
         assert est.ci_hi == 1.0
 
@@ -96,20 +95,15 @@ class TestEvents:
         with pytest.raises(ValueError):
             verify(CHECKS["idla-scaled"], params(reps=50, seed=0, x_grid=[0.1]))
 
-    def test_unknown_kind(self):
-        finals = simulate_finals(IDLA, seed=0, n_samples=256)
-        with pytest.raises(ValueError):
-            event_indicator(IDLA, TailEvent("no-such-event", x=0.1), finals)
-
-    def test_process_mismatch(self):
-        finals = simulate_finals(IDLA, seed=0, n_samples=256)
-        with pytest.raises(ValueError):
-            event_indicator(IDLA, TailEvent("ar-estimator", x=0.1), finals)
+    def test_event_indicator_evaluates_the_entry_event(self):
+        run = SimpleNamespace(spec=IDLA, finals=simulate_finals(IDLA, seed=0, n_samples=256))
+        got = event_indicator(CHECKS["idla-scaled"].event, run, 0.2)
+        assert np.array_equal(got, np.abs(run.finals["x"]) / 50 >= 0.2)
 
     def test_weighted_tail_respects_bound(self):
         # |M_n| >= x with S_n(a) <= y should sit below 2 exp(-x^2 / (2 a y))
         check = Check(
-            "idla", 0, (40.0,), "mart-abs",
+            "idla", 0, (40.0,), CHECKS["weighted-tail"].event,
             {"weighted": lambda run, x: exp_tail_bound(x, run.y, run.a)},
             prepare=lambda run: setattr(run, "y", 600.0),
         )
@@ -118,57 +112,28 @@ class TestEvents:
         assert row["ci_lo"] <= row["bound_weighted"] == exp_tail_bound(40.0, 600.0, 1 / 3)
         assert row["satisfied"]
 
-    def test_missing_moment_required(self):
-        finals = simulate_finals(IDLA, seed=0, n_samples=256)
-        with pytest.raises(ValueError):
-            event_indicator(IDLA, TailEvent("mart-missing", x=1.0, a=1 / 3), finals)
+
+def supermg_weights(n_samples, t, a):
+    f = simulate_finals(IDLA, seed=2, n_samples=n_samples)
+    return supermartingale_weight(f["m"], f["qv"], f["pqv"], t, a)
 
 
 class TestExpectations:
     def test_supermg_t_zero(self):
-        est = estimate_expectation(
-            IDLA, Functional("supermg-weight", t=0.0, a=1 / 3), 512, seed=2
-        )
+        est = estimate_expectation(supermg_weights(512, 0.0, 1 / 3))
         assert est.mean == 1.0
         assert est.se == 0.0
 
     def test_supermg_mean_at_most_one(self):
         for t in (-0.01, 0.01):
-            est = estimate_expectation(
-                IDLA, Functional("supermg-weight", t=t, a=1 / 3), 10_000, seed=2
-            )
+            est = estimate_expectation(supermg_weights(10_000, t, 1 / 3))
             assert est.mean <= 1.0 + 3.0 * est.se
 
     def test_second_moment_matches_exact(self):
-        est = estimate_expectation(
-            IDLASpec(n=100), Functional("second-moment"), 100_000, seed=21
-        )
+        m = simulate_finals(IDLASpec(n=100), seed=21, n_samples=100_000)["m"]
+        est = estimate_expectation(m * m)
         _, em2 = idla_exact_moments(100)
         assert abs(est.mean - em2) <= 3.0 * est.se
-
-    def test_laplace_grid_min(self):
-        est = estimate_expectation(
-            IDLA, Functional("laplace-s", x=0.005, a=1 / 3), 4096, seed=4
-        )
-        assert 0.0 < est.mean <= 2.0
-        assert est.se >= 0.0
-
-    def test_horizon_truncation(self):
-        est_k = estimate_expectation(
-            IDLASpec(n=100), Functional("second-moment", k=50), 4096, seed=6
-        )
-        est_direct = estimate_expectation(
-            IDLASpec(n=50), Functional("second-moment"), 4096, seed=6
-        )
-        assert est_k == est_direct
-        with pytest.raises(ValueError):
-            estimate_expectation(
-                IDLA, Functional("second-moment", k=500), 4096, seed=6
-            )
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            estimate_expectation(IDLA, Functional("no-such"), 256, seed=0)
 
 
 class TestCompare:
@@ -199,7 +164,7 @@ class TestCompare:
 class TestVerify:
     @staticmethod
     def tail_row(bound_columns, dominating=()):
-        check = Check("idla", 0, (0.1,), "idla-scaled", bound_columns, dominating)
+        check = Check("idla", 0, (0.1,), CHECKS["idla-scaled"].event, bound_columns, dominating)
         return verify(check, params(reps=1000, seed=1))[0]
 
     def test_tail_pass_rule(self):
