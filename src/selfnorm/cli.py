@@ -69,9 +69,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The selfnorm parser; defaults, when given, replace the flag defaults
-    of every subcommand."""
+def build_parser() -> argparse.ArgumentParser:
+    """The selfnorm parser."""
     parser = _Parser(prog="selfnorm")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -105,23 +104,54 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     t.add_argument("--delta", type=parse_real, default=0.2)
     t.add_argument("--r-grid", type=parse_real_list, default=None)
     _add_common(t)
-    for sub in subs.choices.values():
-        sub.set_defaults(**(defaults or {}))
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config file's value for a flag, parsed and checked as the flag's
+    own argument would be.  A string goes through the flag's type, a number
+    only to an int or real flag, and a bool only to a store_true flag."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"config key {key!r} takes true or false, got {json.dumps(value)}")
+    numeric = action.type in (int, parse_real)
+    if not (isinstance(value, str) or (numeric and type(value) in (int, float))):
+        takes = "a number or a string" if numeric else "a string"
+        raise ValueError(f"config key {key!r} takes {takes}, got {json.dumps(value)}")
+    try:
+        parsed = action.type(str(value)) if action.type else value
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+    if action.choices is not None and parsed not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"config key {key!r}: invalid choice {parsed!r} (choose from {choices})")
+    return parsed
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv.  A --config file supplies flag defaults, so explicit flags
-    win, and its string values go through the flags' own parsers."""
-    args = build_parser().parse_args(argv)
+    """Parse argv.  A --config file holds a JSON object of flag defaults, so
+    explicit flags win; each key is a flag's destination, and each value is
+    parsed as that flag's argument."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    for key in cfg:
-        if not hasattr(args, key.replace("-", "_")):
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(cfg).__name__}")
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices[args.command]
+    flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, value in cfg.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-    return build_parser({k.replace("-", "_"): v for k, v in cfg.items()}).parse_args(argv)
+        defaults[action.dest] = _config_value(action, key, value)
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _json_doc(rows: list, args: argparse.Namespace) -> dict:
@@ -264,6 +294,10 @@ def main(argv=None) -> int:
         return 2 if code not in (0,) else 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

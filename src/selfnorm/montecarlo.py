@@ -47,7 +47,8 @@ __all__ = [
 
 # Replicates per simulation chunk.  CHUNK bounds the replicates and
 # processes.TILE the columns of the uniforms drawn at once, so one tile holds
-# at most CHUNK x TILE x 8 B, about 34 MB.
+# at most CHUNK x TILE x 8 B = 32 MiB, plus the 512 KB block its rows are
+# drawn in.
 CHUNK = 4096
 
 # Fewest replicates an estimate accepts.

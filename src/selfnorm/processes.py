@@ -25,7 +25,11 @@ as those of one generator constructed per replicate.  Philox4x64 yields 4
 doubles per counter value, so a stream restarts exactly at any column that
 is a multiple of 4; :func:`finals` draws its block's streams one tile of at
 most ``TILE`` columns at a time, and the tiles join into the same bits as
-one full draw, so memory does not grow with the horizon.
+one full draw, so memory does not grow with the horizon.  A tile is stored
+replicate-minor (Fortran order), so each step of :func:`finals` reads its
+uniforms as one contiguous vector of the block's replicates; since Philox
+fills only contiguous memory, the rows are drawn a small C-ordered block at
+a time and copied across.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ from .martingale import MartingalePath, _cumsum, accumulate
 # process's uniforms per step; bounds the memory of one chunk's uniforms
 # along the horizon.
 TILE = 1024
+
+# Rows uniform_rows draws into its C-ordered block before copying them into
+# its Fortran-ordered result: 512 KB at TILE columns.
+_DRAW_ROWS = 64
 
 __all__ = [
     "AR1Spec",
@@ -178,16 +186,21 @@ def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0
     counter value gives 4 doubles, so the counter restarts the stream at
     col_lo exactly when col_lo is a multiple of 4; other offsets raise
     ValueError.
+
+    The array is Fortran-ordered: each column, one uniform of every
+    replicate, is contiguous, so the transpose is C-contiguous.  Philox fills
+    only contiguous memory, so rows are drawn ``_DRAW_ROWS`` at a time into a
+    C-ordered block and copied across; a single row is contiguous in both
+    orders and is drawn in place.
     """
     # numpy stores key=[seed, rep] as float64 from 2**63 on, merging seeds
     if not 0 <= seed < 2**63:
         raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
     if col_lo < 0 or col_lo % 4:
         raise ValueError(f"col_lo must be a non-negative multiple of 4, got {col_lo}")
-    # rows lie one cache line further apart than their width: finals reads a
-    # column across all rows, and at a power-of-two width (a whole tile) every
-    # row would fall into the same few cache sets
-    out = np.empty((rep_hi - rep_lo, cols + 8))[:, :cols]
+    B = rep_hi - rep_lo
+    out = np.empty((B, cols), order="F")
+    block = out if B == 1 else np.empty((min(B, _DRAW_ROWS), cols))
     bitgen = np.random.Philox(key=[seed, rep_lo])
     gen = np.random.Generator(bitgen)
     # the fresh state of this instance; its name must match the bit
@@ -197,10 +210,14 @@ def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0
     key = [seed, rep_lo]
     state["state"] = {"counter": [col_lo // 4, 0, 0, 0], "key": key}
     state["buffer"] = [0, 0, 0, 0]
-    for rep, row in zip(range(rep_lo, rep_hi), out):
-        key[1] = rep
-        bitgen.state = state
-        gen.random(out=row)
+    for lo in range(0, B, _DRAW_ROWS):
+        rows = block[: B - lo]
+        for rep, row in zip(range(rep_lo + lo, rep_hi), rows):
+            key[1] = rep
+            bitgen.state = state
+            gen.random(out=row)
+        if block is not out:
+            out[lo : lo + len(rows)] = rows
     return out
 
 
@@ -223,8 +240,11 @@ def true_risk(c: float | np.ndarray, theta_star: float, eta: float):
 
 
 def _clip01(v):
-    # builtins on a float, np.clip on an array: the same bits either way
-    return min(1.0, max(0.0, v)) if isinstance(v, float) else np.clip(v, 0.0, 1.0)
+    # builtins on a float, their ufuncs in the same order on an array: the
+    # same bits either way
+    if isinstance(v, float):
+        return min(1.0, max(0.0, v))
+    return np.minimum(1.0, np.maximum(0.0, v))
 
 
 def _ar1_step(spec: AR1Spec, x, u, k):
@@ -327,20 +347,22 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
     B = rep_hi - rep_lo
     tile_steps = TILE // dyn.cols
     x = np.full(B, dyn.init(spec))
-    # m, qv, pqv, then the terms
-    totals = [0.0] * (3 + len(dyn.terms))
+    # m, qv, pqv, then the terms, each summed from 0.0 in step order
+    totals = [np.zeros(B) for _ in range(3 + len(dyn.terms))]
     checks = {name: np.ones(B, dtype=bool) for name in dyn.invariants}
     # an overflow turns statistics non-finite, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, spec.n, tile_steps):
             steps = min(tile_steps, spec.n - k0)
-            # u[k - k0 - 1][:, i] are step k's uniforms of replicate i
+            # u[k - k0 - 1][:, i] are step k's uniforms of replicate i; the
+            # transpose of the Fortran-ordered draw is C-contiguous, so this
+            # is a view and each step's uniforms are contiguous
             u = uniform_rows(seed, rep_lo, rep_hi, steps * dyn.cols, k0 * dyn.cols)
-            u = u.reshape(B, steps, dyn.cols).transpose(1, 2, 0)
+            u = u.T.reshape(steps, dyn.cols, B)
             for k in range(k0 + 1, k0 + steps + 1):
                 x, inc, csm, terms = dyn.step(spec, x, u[k - k0 - 1], k)
-                for i, value in enumerate((inc, inc * inc, csm, *terms)):
-                    totals[i] = totals[i] + value
+                for total, value in zip(totals, (inc, inc * inc, csm, *terms)):
+                    total += value
                 for name, holds in dyn.invariants.items():
                     checks[name] &= holds(spec, totals[1], totals[2])
             # free this tile before the next one is drawn

@@ -299,6 +299,63 @@ class TestConfigFile:
         code, _ = run(capsys, "simulate", "idla", "--config", "/no/such/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1],
+            {"a": {}},
+            {"n": None},
+            {"n": 20.5, "reps": 200},
+            {"x_grid": 5},
+            {"a_grid": 3},
+            {"alpha": None},
+            {"format": "xml"},
+            {"n": True},
+            {"n": [8]},
+            {"process": "nope"},
+            {"command": "weights"},
+            "idla",
+        ],
+    )
+    def test_bad_value_exits_2(self, doc, tmp_path, capsys):
+        # each value goes through its flag's own type and choices
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["verify", "idla-sqrt", "--n", "8", "--reps", "200", "--config", str(cfg)])
+        assert_one_error_line(code, capsys.readouterr())
+
+    def test_values_parse_as_their_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"n": 8, "reps": "200", "alpha": "1/10", "x_grid": "1,2", "format": "json"})
+        )
+        code, out = run(capsys, "verify", "idla-sqrt", "--config", str(cfg))
+        _, direct = run(
+            capsys, "verify", "idla-sqrt", "--n", "8", "--reps", "200", "--alpha", "0.1",
+            "--x-grid", "1,2", "--format", "json", "--config", str(cfg),
+        )
+        assert code == 0
+        assert out == direct
+        config = json.loads(out)["header"]["config"]
+        assert (config["n"], config["reps"], config["alpha"], config["x_grid"]) == (8, 200, 0.1, [1.0, 2.0])
+
+    def test_bool_only_for_switches(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"table1": True}))
+        _, out_cfg = run(capsys, "weights", "--config", str(cfg))
+        _, out_flag = run(capsys, "weights", "--table1")
+        assert out_cfg == out_flag
+        cfg.write_text(json.dumps({"table1": "yes"}))
+        code = main(["weights", "--config", str(cfg)])
+        assert_one_error_line(code, capsys.readouterr())
+
+    def test_flag_wins_over_config_choice(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        code, out = run(capsys, "simulate", "idla", "--n", "2", "--format", "csv", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("step,")
+
 
 class TestSeedEnv:
     def test_env_default(self, monkeypatch, capsys):
@@ -359,6 +416,25 @@ def test_non_finite_trace_exit_2(capsys, fmt):
     captured = capsys.readouterr()
     assert_one_error_line(code, captured)
     assert "m in " in captured.err and "qv in " in captured.err
+
+
+def test_memory_error_exits_2(capsys):
+    # 10**15 doubles is 7.1 PiB, which numpy refuses at once
+    code = main(["simulate", "ar1", "--n", str(10**15)])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert "out of memory" in captured.err
+
+
+def test_bare_memory_error_exits_2(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate", fail)
+    code = main(["simulate", "ar1", "--n", "8"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err == "error: out of memory\n"
 
 
 def test_no_workers_option(tmp_path, capsys):

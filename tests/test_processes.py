@@ -45,6 +45,17 @@ class TestSpecs:
         assert spec.sigma2 == pytest.approx(8 / 9, abs=1e-15)
 
 
+def assert_matches_per_replicate_construction(seed, rep_lo, B, cols, col_lo):
+    def stream(rep):
+        gen = np.random.Generator(np.random.Philox(key=[seed, rep]))
+        return gen.random(col_lo + cols)[col_lo:]
+
+    ref = np.array([stream(rep) for rep in range(rep_lo, rep_lo + B)])
+    rows = uniform_rows(seed, rep_lo, rep_lo + B, cols, col_lo)
+    assert rows.shape == (B, cols)
+    assert rows.tobytes() == ref.tobytes()
+
+
 class TestRng:
     def test_streams_keyed_by_replicate(self):
         a = uniform_rows(42, 0, 3, 8)
@@ -74,9 +85,23 @@ class TestRng:
     def test_matches_per_replicate_construction(self, seed, rep_lo, cols):
         # one fresh generator per replicate is the definition of the stream;
         # odd cols leave the Philox buffer partly used between rows
-        reps = range(rep_lo, rep_lo + 3)
-        ref = [np.random.Generator(np.random.Philox(key=[seed, rep])).random(cols) for rep in reps]
-        assert uniform_rows(seed, rep_lo, rep_lo + 3, cols).tobytes() == np.array(ref).tobytes()
+        assert_matches_per_replicate_construction(seed, rep_lo, 3, cols, 0)
+
+    @pytest.mark.parametrize("cols", [1, 7, 200])
+    @pytest.mark.parametrize("col_lo", [0, 4, 1024])
+    @pytest.mark.parametrize("B", [1, 63, 64, 65, 129])
+    def test_draw_blocks_match_per_replicate_construction(self, cols, col_lo, B):
+        # B crosses the boundaries of the blocks the rows are drawn in,
+        # col_lo restarts each stream inside it, and the replicates straddle
+        # 4096, the first replicate of a run's second chunk
+        assert_matches_per_replicate_construction(2**63 - 1, 4095 - B // 2, B, cols, col_lo)
+
+    @pytest.mark.parametrize("B", [1, 2, 65])
+    def test_step_major_layout(self, B):
+        # each column, one uniform of every replicate, is contiguous
+        rows = uniform_rows(5, 10, 10 + B, 12)
+        assert rows.flags.f_contiguous
+        assert rows.T.flags.c_contiguous
 
     def test_one_bit_generator_per_block(self, monkeypatch):
         expected = uniform_rows(3, 0, 300, 20)
@@ -290,6 +315,25 @@ def test_kernel_matches_single_path(process, rep, tile, monkeypatch):
         assert getattr(trace.path, key)[-1] == finals[key][rep]
     for key in stats:
         assert trace.stats[key][-1] == finals[key][rep]
+
+
+@pytest.mark.parametrize("process", sorted(KERNEL_CASES))
+def test_steps_read_contiguous_uniforms(process, monkeypatch):
+    # the block driver hands every step its uniforms as contiguous vectors,
+    # on whole tiles and on the horizon's partial last tile
+    spec, seed, _ = KERNEL_CASES[process]
+    spec = dataclasses.replace(spec, n=spec.n + 3)
+    monkeypatch.setattr(processes, "TILE", 8)
+    dyn = processes._DYNAMICS[type(spec)]
+    seen = []
+
+    def step(spec, x, u, k):
+        seen.append((u.flags.c_contiguous, u.shape))
+        return dyn.step(spec, x, u, k)
+
+    monkeypatch.setitem(processes._DYNAMICS, type(spec), dataclasses.replace(dyn, step=step))
+    block_finals(spec, seed, 0, 70)
+    assert seen == [(True, (dyn.cols, 70))] * spec.n
 
 
 def test_finals_memory_does_not_grow_with_horizon():
