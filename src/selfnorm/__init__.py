@@ -4,9 +4,11 @@ from .bounds import (
     HolderPair,
     ar_bound,
     ar_rate,
-    baseline_bound,
+    azuma_idla_bound,
+    bt2008_bound,
     cbg_threshold,
     exp_tail_bound,
+    gauss_ar_bound,
     hermite_margin,
     idla_bounds,
     idla_cn,

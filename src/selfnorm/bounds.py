@@ -21,7 +21,9 @@ __all__ = [
     "hermite_margin",
     "pab_discriminant",
     "exp_tail_bound",
-    "baseline_bound",
+    "bt2008_bound",
+    "azuma_idla_bound",
+    "gauss_ar_bound",
     "ratio_tail_bound",
     "pqv_ratio_bound",
     "missing_factor_bound",
@@ -52,9 +54,6 @@ TABLE1 = (
     (49 / 72, 4 / 5),
     (4 / 5, 2 / 3),
 )
-
-BASELINE_KINDS = ("BT2008", "AZUMA_IDLA", "GAUSS_AR")
-
 
 def _check_weight(a: float) -> None:
     if not a > ADMISSIBLE_MIN:
@@ -190,28 +189,36 @@ def _gauss_ar_root(x: float) -> float:
     raise RuntimeError("root solve for the Gaussian AR baseline did not converge")
 
 
-def baseline_bound(kind: str, x: float, aux: float) -> float:
-    """Baseline tail bounds used for comparison tables.
-
-    kind selects the formula; aux is the variation level y for BT2008, and
-    the horizon n for AZUMA_IDLA and GAUSS_AR.
-    """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}")
+def _check_baseline(x: float, n: int) -> None:
     if x <= 0.0:
         raise ValueError("x must be positive")
-    if kind == "BT2008":
-        y = aux
-        if y <= 0.0:
-            raise ValueError("y must be positive")
-        return _cap(2.0 * math.exp(-0.5 * x * x / y))
-    n = int(aux)
-    if n < 1 or n != aux:
-        raise ValueError(f"horizon must be a positive integer, got {aux}")
-    if kind == "AZUMA_IDLA":
-        return _cap(2.0 * math.exp(-3.0 * n * x * x / 8.0))
-    yx = _gauss_ar_root(x)
-    return _cap(2.0 * math.exp(-n * x * x / (2.0 * (1.0 + yx))))
+    if n < 1 or n != int(n):
+        raise ValueError(f"horizon must be a positive integer, got {n}")
+
+
+def bt2008_bound(x: float, y: float) -> float:
+    """Baseline of Bercu and Touati (2008) on P(|M_n| >= x, [M]_n + <M>_n <= y):
+    min(1, 2 exp(-x^2/(2y)))."""
+    if x <= 0.0:
+        raise ValueError("x must be positive")
+    if y <= 0.0:
+        raise ValueError("y must be positive")
+    return _cap(2.0 * math.exp(-0.5 * x * x / y))
+
+
+def azuma_idla_bound(x: float, n: int) -> float:
+    """Azuma baseline on P(|X_n|/n >= x) for the aggregation process:
+    min(1, 2 exp(-3 n x^2/8))."""
+    _check_baseline(x, n)
+    return _cap(2.0 * math.exp(-3.0 * n * x * x / 8.0))
+
+
+def gauss_ar_bound(x: float, n: int) -> float:
+    """Gaussian-noise baseline on P(|theta_hat - theta| >= x) for the AR(1)
+    estimator: min(1, 2 exp(-n x^2/(2(1 + y_x)))), where y_x is the positive
+    root of (1+y)log(1+y) - y = x^2."""
+    _check_baseline(x, n)
+    return _cap(2.0 * math.exp(-n * x * x / (2.0 * (1.0 + _gauss_ar_root(x)))))
 
 
 def missing_factor_bound(x: float, p: float) -> tuple[float, float]:

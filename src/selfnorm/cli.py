@@ -36,7 +36,11 @@ def parse_real_list(text: str) -> list[float]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SELFNORM_SEED", "42"))
+    text = os.environ.get("SELFNORM_SEED", "42")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SELFNORM_SEED: invalid int value: {text!r}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

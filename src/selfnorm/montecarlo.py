@@ -343,7 +343,7 @@ CHECKS = {
             "weighted": lambda run, x: bounds.exp_tail_bound(x, run.y, run.a),
             # at c(a) = 1, S_n(a) is the normalizer [M]_n + <M>_n of BT2008
             "bt2008": lambda run, x: (
-                bounds.baseline_bound("BT2008", x, run.y) if bounds.weight_c(run.a) == 1.0 else None
+                bounds.bt2008_bound(x, run.y) if bounds.weight_c(run.a) == 1.0 else None
             ),
         },
         dominating=("weighted",), prepare=_set_y_median_s, any_process=True,
@@ -375,7 +375,7 @@ CHECKS = {
             "weighted": lambda run, x: (
                 bounds.ar_bound(x, run.spec.n, run.spec.p, run.a) if x <= _ar_limit(run) else None
             ),
-            "gauss-ar": lambda run, x: bounds.baseline_bound("GAUSS_AR", x, run.spec.n),
+            "gauss-ar": lambda run, x: bounds.gauss_ar_bound(x, run.spec.n),
         },
         dominating=("weighted",),
     ),
@@ -385,7 +385,7 @@ CHECKS = {
         lambda run, x: np.abs(run.finals["x"]) / run.spec.n >= x,
         {
             "weighted": lambda run, x: bounds.idla_bounds(x, run.spec.n, run.a)[0],
-            "azuma": lambda run, x: bounds.baseline_bound("AZUMA_IDLA", x, run.spec.n),
+            "azuma": lambda run, x: bounds.azuma_idla_bound(x, run.spec.n),
         },
     ),
     "idla-sqrt": Check(

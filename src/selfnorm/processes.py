@@ -1,20 +1,23 @@
 """Exact simulators for the three application processes.
 
-Each process is written once, as one step of its martingale decomposition:
-``step(spec, x, u, k)`` maps the state before step k and that step's
-uniforms to ``(x_new, increment, cond_second_moment, terms)``, where terms
-are the step's summands of the process's own statistics.  A step uses only
-operators (and ``_clip01`` for the learner's clamp), so the same definition
-advances a Python float or a ``(B,)`` array of replicates.
+Each process is written once, as one step of its martingale decomposition
+and one set of statistics.  ``step(spec, x, u, k)`` maps the state before
+step k and that step's uniforms to ``(x_new, increment, cond_second_moment,
+terms)``, where terms are the step's summands of the process's statistics;
+``stats(spec, x, sums, k)`` forms the statistics after k steps from the
+state and the running sums of the terms.  Both use only operators (and
+``_clip01`` for the learner's clamp), so the same definition works on Python
+floats or on arrays.
 
 Two drivers run the steps.  :func:`finals` advances a block of replicates
 and keeps running totals of the increments, their squares, the conditional
-second moments and the terms, from which it forms the end-of-horizon
-summaries.  :func:`simulate` advances one replicate on floats, records every
-step and sums the records with ``martingale._cumsum``, which adds the same
-values from 0.0 in the same order; so the last entry of a trace equals its
-replicate's finals bit for bit.  Both drivers raise ValueError when a
-statistic they return is not finite.
+second moments and the terms, and calls ``stats`` once at the horizon.
+:func:`simulate` advances one replicate on floats, records every step, sums
+the records with ``martingale._cumsum``, which adds the same values from 0.0
+in the same order, and calls ``stats`` once on the whole series; so the last
+entry of a trace equals its replicate's finals bit for bit.
+:func:`simulate` raises ValueError when its path is not finite, and
+``montecarlo.simulate_finals`` when any statistic of the finals is not.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 replicate index), with seed in [0, 2**63), so every replicate is an
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -163,7 +166,8 @@ class ProcessTrace:
 
     ``increments`` and ``cond_second_moments`` are the martingale
     decomposition; ``path`` is their accumulation; ``stats`` holds the
-    process-specific series.
+    process's statistics at steps 0..n and ``terms`` the step's summands
+    of them at steps 1..n.
     """
 
     spec: ProcessSpec
@@ -173,6 +177,7 @@ class ProcessTrace:
     cond_second_moments: np.ndarray
     path: MartingalePath
     stats: dict[str, np.ndarray]
+    terms: dict[str, np.ndarray]
 
 
 def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0) -> np.ndarray:
@@ -253,16 +258,19 @@ def _ar1_step(spec: AR1Spec, x, u, k):
     return x_new, x * eps, spec.sigma2 * x * x, (x * x, x * x_new)
 
 
-def _ar1_sandwich(spec: AR1Spec, qv, pqv):
-    """(p/q)<M>_k <= [M]_k <= (q/p)<M>_k, up to rounding."""
-    tol = 1e-9 * np.maximum(qv, pqv) + 1e-12
-    return (spec.p / spec.q * pqv <= qv + tol) & (qv <= spec.q / spec.p * pqv + tol)
+def _ar1_stats(spec: AR1Spec, x, sums, k):
+    # theta_hat is 0/0 = nan before the first step
+    return {"x": x, "theta_hat": sums["sxy"] / sums["sxx"]}
 
 
 def _idla_step(spec: IDLASpec, x, u, k):
     p_up = (k + 1 - x) / (2.0 * (k + 1))
     x_new = x + (2.0 * (u[0] < p_up) - 1.0)
     return x_new, (k + 1) * x_new - k * x, (k + 1.0) ** 2 - x * x, ()
+
+
+def _idla_stats(spec: IDLASpec, x, sums, k):
+    return {"x": x, "l": (x - k) / 2.0, "r": (x + k) / 2.0}
 
 
 def _learning_step(spec: LearnSpec, c, u, k):
@@ -274,25 +282,9 @@ def _learning_step(spec: LearnSpec, c, u, k):
     return c_new, risk - loss, risk * (1.0 - risk), (loss, risk)
 
 
-def _ar1_series(spec: AR1Spec, xs, terms, sums):
-    # theta_hat is 0/0 before the first step
-    return {"x": xs, "theta_hat": np.concatenate(([np.nan], sums["sxy"][1:] / sums["sxx"][1:]))}
-
-
-def _idla_series(spec: IDLASpec, xs, terms, sums):
-    steps = np.arange(spec.n + 1, dtype=float)
-    return {"x": xs, "l": (xs - steps) / 2.0, "r": (xs + steps) / 2.0}
-
-
-def _learning_series(spec: LearnSpec, cs, terms, sums):
-    steps = np.maximum(np.arange(spec.n + 1), 1)  # both averages are 0 at step 0
-    return {
-        "c": cs,
-        "true_risk": terms["risk"],
-        "loss": terms["loss"],
-        "r_hat": sums["loss"] / steps,
-        "r_bar": sums["risk"] / steps,
-    }
+def _learning_stats(spec: LearnSpec, c, sums, k):
+    steps = np.maximum(k, 1)  # both averages are 0 at step 0
+    return {"c": c, "r_hat": sums["loss"] / steps, "r_bar": sums["true_risk"] / steps}
 
 
 @dataclass(frozen=True)
@@ -300,38 +292,24 @@ class _Dynamics:
     """One process for the two drivers.
 
     cols uniforms per step; the initial state init(spec); the step; the names
-    of its terms; finals(spec, x, totals) from the state and the term totals
-    at the horizon; series(spec, xs, terms, sums) from the recorded states,
-    terms and running term sums (states and sums include step 0); the trace
-    CSV columns; and invariants, name -> holds(spec, qv, pqv), which the
-    block driver checks after every step.
+    of its terms; and stats(spec, x, sums, k), the process's statistics after
+    k steps from the state and the running term sums, on floats or arrays.
+    Its keys, in order, are the trace CSV columns after m, qv and pqv.
     """
 
     cols: int
     init: Callable
     step: Callable
     terms: tuple[str, ...]
-    finals: Callable
-    series: Callable
-    columns: tuple[str, ...]
-    invariants: dict[str, Callable] = field(default_factory=dict)
+    stats: Callable
 
 
-# spec type: _Dynamics(cols, init, step, terms, finals, series, columns[, invariants])
+# spec type: _Dynamics(cols, init, step, terms, stats)
 _DYNAMICS = {
-    AR1Spec: _Dynamics(
-        1, lambda spec: 1.0, _ar1_step, ("sxx", "sxy"),
-        lambda spec, x, s: {"theta_hat": s["sxy"] / s["sxx"]},
-        _ar1_series, ("x", "theta_hat"), {"sandwich_ok": _ar1_sandwich},
-    ),
-    IDLASpec: _Dynamics(
-        1, lambda spec: 0.0, _idla_step, (), lambda spec, x, s: {"x": x},
-        _idla_series, ("x", "l", "r"),
-    ),
+    AR1Spec: _Dynamics(1, lambda spec: 1.0, _ar1_step, ("sxx", "sxy"), _ar1_stats),
+    IDLASpec: _Dynamics(1, lambda spec: 0.0, _idla_step, (), _idla_stats),
     LearnSpec: _Dynamics(
-        2, lambda spec: spec.c0, _learning_step, ("loss", "risk"),
-        lambda spec, c, s: {"r_hat": s["loss"] / spec.n, "r_bar": s["risk"] / spec.n},
-        _learning_series, ("c", "r_hat", "r_bar"),
+        2, lambda spec: spec.c0, _learning_step, ("loss", "true_risk"), _learning_stats
     ),
 }
 
@@ -349,7 +327,6 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
     x = np.full(B, dyn.init(spec))
     # m, qv, pqv, then the terms, each summed from 0.0 in step order
     totals = [np.zeros(B) for _ in range(3 + len(dyn.terms))]
-    checks = {name: np.ones(B, dtype=bool) for name in dyn.invariants}
     # an overflow turns statistics non-finite, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, spec.n, tile_steps):
@@ -363,13 +340,11 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
                 x, inc, csm, terms = dyn.step(spec, x, u[k - k0 - 1], k)
                 for total, value in zip(totals, (inc, inc * inc, csm, *terms)):
                     total += value
-                for name, holds in dyn.invariants.items():
-                    checks[name] &= holds(spec, totals[1], totals[2])
             # free this tile before the next one is drawn
             del u
         m, qv, pqv, *sums = totals
-        stats = dyn.finals(spec, x, dict(zip(dyn.terms, sums)))
-    return {"m": m, "qv": qv, "pqv": pqv, **stats, **checks}
+        stats = dyn.stats(spec, x, dict(zip(dyn.terms, sums)), spec.n)
+    return {"m": m, "qv": qv, "pqv": pqv, **stats}
 
 
 def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
@@ -393,7 +368,7 @@ def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         path = accumulate(inc, csm)
         sums = {name: _cumsum(values) for name, values in terms.items()}
-        stats = dyn.series(spec, np.frombuffer(states), terms, sums)
+        stats = dyn.stats(spec, np.frombuffer(states), sums, np.arange(spec.n + 1))
     require_finite(
         {"m": path.m, "qv": path.qv, "pqv": path.pqv}, f"trace of {spec}, replicate {replicate}"
     )
@@ -405,6 +380,7 @@ def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
         cond_second_moments=csm,
         path=path,
         stats=stats,
+        terms=terms,
     )
 
 
@@ -428,13 +404,12 @@ def trace_to_csv(trace: ProcessTrace, lo: int = 0, hi: int | None = None) -> str
     Joining the renderings of consecutive ranges gives the whole document,
     so a caller can write a long trace one block of rows at a time.
     """
-    cols = _DYNAMICS[type(trace.spec)].columns
     hi = trace.path.n + 1 if hi is None else hi
-    series = (trace.path.m, trace.path.qv, trace.path.pqv, *(trace.stats[c] for c in cols))
+    series = (trace.path.m, trace.path.qv, trace.path.pqv, *trace.stats.values())
     # each column goes to Python floats once; repr is the shortest round trip
     cells = [map(repr, values[lo:hi].tolist()) for values in series]
     lines = list(map(",".join, zip(map(str, range(lo, hi)), *cells)))
     if lo == 0:
-        lines.insert(0, "step,m,qv,pqv," + ",".join(cols))
+        lines.insert(0, "step,m,qv,pqv," + ",".join(trace.stats))
     # every line ends in CRLF; an empty range renders as ""
     return "\r\n".join(lines + [""])

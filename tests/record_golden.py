@@ -1,0 +1,127 @@
+"""The golden-output corpus: fixed command lines whose exit code, stdout and
+stderr are held byte-identical by ``tests/test_golden.py``.
+
+    PYTHONPATH=src python tests/record_golden.py
+
+runs every command in process through ``cli.main`` and writes the SHA-256
+of each one's (exit code, stdout, stderr) to ``tests/golden_digests.json``.
+A change that moves any output re-records the file in the same change and
+names each changed digest, with its reason, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+from selfnorm import cli
+from selfnorm.montecarlo import CHECKS
+from selfnorm.processes import PROCESSES, TILE
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+SEED_ENV = "SELFNORM_SEED"
+
+
+@dataclass(frozen=True)
+class Case:
+    """One command line, with SELFNORM_SEED set to env_seed (unset when
+    None) and, when config is given, a --config file holding it as JSON."""
+
+    argv: tuple[str, ...]
+    env_seed: str | None = None
+    config: dict | None = None
+
+    @property
+    def key(self) -> str:
+        words = list(self.argv)
+        if self.config is not None:
+            words += ["--config", json.dumps(self.config, sort_keys=True)]
+        env = [] if self.env_seed is None else [f"{SEED_ENV}={self.env_seed!r}"]
+        return " ".join(env + words)
+
+
+def _verify_cases() -> list[Case]:
+    cases = []
+    for check_id, check in CHECKS.items():
+        processes = [None, *sorted(PROCESSES)] if check.any_process else [None]
+        for process in processes:
+            argv = ["verify", check_id, "--n", "30", "--reps", "2000", "--seed", "3"]
+            argv += [] if process is None else ["--process", process]
+            cases += [Case((*argv, "--format", fmt)) for fmt in ("csv", "json")]
+    return cases
+
+
+def _simulate_cases() -> list[Case]:
+    return [
+        Case(("simulate", process, "--n", str(n), "--seed", "3", "--format", fmt))
+        for process in sorted(PROCESSES)
+        for n in (1, TILE - 1, TILE, TILE + 1)
+        for fmt in ("csv", "json")
+    ]
+
+
+CASES = [
+    *_verify_cases(),
+    Case(("hermite",)),
+    Case(("verify", "hermite")),
+    Case(("weights", "--table1")),
+    Case(("learning-table",)),
+    *_simulate_cases(),
+    # every bad input exits 2 with one error: line
+    Case(("simulate", "idla", "--n", "3", "--seed", "abc")),
+    Case(("simulate", "idla", "--n", "3", "--seed", "-1")),
+    Case(("simulate", "idla", "--n", "3", "--seed", str(2**63))),
+    Case(("simulate", "idla", "--n", "3"), env_seed="abc"),
+    Case(("simulate", "idla", "--n", "3"), env_seed=""),
+    Case(("simulate", "idla", "--n", "3"), env_seed=str(2**64 - 1)),
+    Case(("simulate", "idla", "--n", "3"), config={"n": "ten"}),
+    Case(("simulate", "idla", "--n", "3"), config={"format": "xml"}),
+    Case(("weights",), config={"table1": "yes"}),
+    Case(("verify", "ar-estimator", "--theta", "3", "--n", "1000", "--reps", "200")),
+    Case(("simulate", "ar1", "--n", str(10**15))),
+]
+
+
+def run(case: Case, workdir: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of cli.main on the case."""
+    argv = list(case.argv)
+    if case.config is not None:
+        path = workdir / "config.json"
+        path.write_text(json.dumps(case.config))
+        argv += ["--config", str(path)]
+    saved = os.environ.pop(SEED_ENV, None)
+    if case.env_seed is not None:
+        os.environ[SEED_ENV] = case.env_seed
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.environ.pop(SEED_ENV, None)
+        if saved is not None:
+            os.environ[SEED_ENV] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {case.key: digest(*run(case, Path(tmp))) for case in CASES}
+    DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
+    print(f"recorded {len(table)} digests in {DIGESTS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,9 +13,11 @@ from selfnorm.bounds import (
     HolderPair,
     ar_bound,
     ar_rate,
-    baseline_bound,
+    azuma_idla_bound,
+    bt2008_bound,
     cbg_threshold,
     exp_tail_bound,
+    gauss_ar_bound,
     hermite_margin,
     idla_bounds,
     idla_cn,
@@ -192,10 +194,10 @@ class TestBaselines:
         # the weighted bound at c(a) = 1 improves the BT2008 rate 1/2 to 8/9
         for x in (0.5, 1.0, 2.0, 5.0):
             for y in (0.5, 1.0, 10.0):
-                assert exp_tail_bound(x, y, 9 / 16) <= baseline_bound("BT2008", x, y)
+                assert exp_tail_bound(x, y, 9 / 16) <= bt2008_bound(x, y)
 
     def test_azuma_idla(self):
-        assert baseline_bound("AZUMA_IDLA", 0.2, 100) == pytest.approx(
+        assert azuma_idla_bound(0.2, 100) == pytest.approx(
             2 * math.exp(-1.5), abs=1e-15
         )
 
@@ -216,23 +218,23 @@ class TestBaselines:
         assert yx == pytest.approx(0.6168213117040653, abs=1e-9)
         assert yx <= 2 * 0.4
         expected = min(1.0, 2 * math.exp(-100 * 0.16 / (2 * (1 + yx))))
-        assert baseline_bound("GAUSS_AR", 0.4, 100) == pytest.approx(expected, rel=1e-9)
+        assert gauss_ar_bound(0.4, 100) == pytest.approx(expected, rel=1e-9)
 
     def test_gauss_ar_linear_bound_small_x(self):
         # y_x <= 2x whenever 0 < x < 1/2
         for x in (0.05, 0.2, 0.4, 0.49):
-            got = baseline_bound("GAUSS_AR", x, 100)
+            got = gauss_ar_bound(x, 100)
             relaxed = min(1.0, 2 * math.exp(-100 * x * x / (2 * (1 + 2 * x))))
             assert got <= relaxed + 1e-12
 
     def test_validation(self):
-        for kind in ("NOPE", "DELYON", "IMPROVED"):
+        for args in ((-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -1.0)):
             with pytest.raises(ValueError):
-                baseline_bound(kind, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            baseline_bound("BT2008", -1.0, 1.0)
-        with pytest.raises(ValueError):
-            baseline_bound("AZUMA_IDLA", 1.0, 0)
+                bt2008_bound(*args)
+        for fn in (azuma_idla_bound, gauss_ar_bound):
+            for args in ((-1.0, 100), (0.0, 100), (1.0, 0), (1.0, 2.5)):
+                with pytest.raises(ValueError):
+                    fn(*args)
 
 
 class TestMissingFactor:

@@ -393,6 +393,14 @@ class TestSeedRange:
         code = main(["verify", "idla-sqrt", "--n", "8", "--reps", "100"])
         assert_one_error_line(code, capsys.readouterr())
 
+    @pytest.mark.parametrize("text", ["abc", "", "1.5"])
+    def test_env_not_an_int_names_the_variable(self, monkeypatch, capsys, text):
+        monkeypatch.setenv("SELFNORM_SEED", text)
+        code = main(["simulate", "idla", "--n", "3"])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert "SELFNORM_SEED" in captured.err and repr(text) in captured.err
+
 
 @pytest.mark.parametrize(
     "argv",

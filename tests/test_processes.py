@@ -154,14 +154,33 @@ class TestAR1:
             rhs = self.spec.sigma2 * trace.path.m[-1] / trace.path.pqv[-1]
             assert th - self.spec.theta == pytest.approx(rhs, rel=1e-10)
 
-    def test_sandwich_every_k(self):
-        p, q = self.spec.p, self.spec.q
+    def test_sandwich_every_k(self, monkeypatch):
+        # (p/q)<M>_k <= [M]_k <= (q/p)<M>_k on every path: replicate i's
+        # noise at step j + 1 is 2q when bit j of i is set (u = 0.0) and -2p
+        # otherwise (u = 1 - 2**-53), so 2**12 replicates run every noise path
+        # of 12 steps through the block driver, and finals at horizon k
+        # hold every path's variations at step k
+        def noise_bits(seed, rep_lo, rep_hi, cols, col_lo=0):
+            reps = np.arange(rep_lo, rep_hi)[:, None]
+            bits = (reps >> np.arange(col_lo, col_lo + cols)) & 1
+            return np.where(bits == 1, 0.0, 1.0 - 2.0**-53)
+
+        monkeypatch.setattr(processes, "uniform_rows", noise_bits)
+        for p, theta in ((0.5, 0.5), (1 / 3, 0.5), (1 / 3, 1.0), (0.1, -0.9), (0.25, 1.5)):
+            q = 1.0 - p
+            for k in range(1, 13):
+                finals = ar1_finals(AR1Spec(p=p, theta=theta, n=k), 0, 0, 2**12)
+                qv, pqv = finals["qv"], finals["pqv"]
+                assert np.all(p / q * pqv <= qv * (1 + 1e-12))
+                assert np.all(qv <= q / p * pqv * (1 + 1e-12))
+            if theta == 0.5:
+                # X_12 spells the replicate's bits in base 1/2: all paths differ
+                assert len(np.unique(finals["x"])) == 2**12
         trace = ar1_simulate(self.spec, seed=3)
+        p, q = self.spec.p, self.spec.q
         qv, pqv = trace.path.qv[1:], trace.path.pqv[1:]
         assert np.all(p / q * pqv <= qv * (1 + 1e-12))
         assert np.all(qv <= q / p * pqv * (1 + 1e-12))
-        finals = ar1_finals(self.spec, 3, 0, 256)
-        assert np.all(finals["sandwich_ok"])
 
     def test_symmetric_case_variations_equal(self):
         spec = AR1Spec(p=0.5, theta=0.5, n=100)
@@ -221,8 +240,8 @@ class TestIDLA:
         finals = idla_finals(IDLASpec(n=k - 1), 31, 0, 40_000)
         x_prev = finals["x"]
         u = uniform_rows(31, 0, 40_000, k)[:, k - 1]
-        p_up = (k + 1 - x_prev) / (2.0 * (k + 1))
-        x_next = x_prev + np.where(u < p_up, 1.0, -1.0)
+        # step k of the shipped dynamics, fed the uniforms finals would use
+        x_next = processes._DYNAMICS[IDLASpec].step(IDLASpec(n=k), x_prev, (u,), k)[0]
         resid = x_next - k / (k + 1) * x_prev
         se = resid.std() / math.sqrt(len(resid))
         assert abs(resid.mean()) <= 3 * se
@@ -244,13 +263,13 @@ class TestLearning:
     def test_perfect_hypothesis_is_degenerate(self):
         spec = LearnSpec(theta_star=0.5, eta=0.0, gamma0=0.5, c0=0.5, n=50)
         trace = learning_simulate(spec, seed=0)
-        assert np.all(trace.stats["true_risk"] == 0.0)
-        assert np.all(trace.stats["loss"] == 0.0)
+        assert np.all(trace.terms["true_risk"] == 0.0)
+        assert np.all(trace.terms["loss"] == 0.0)
         assert np.all(trace.path.m == 0.0)
 
     def test_losses_binary(self):
         trace = learning_simulate(self.spec, seed=2)
-        assert set(np.unique(trace.stats["loss"])) <= {0.0, 1.0}
+        assert set(np.unique(trace.terms["loss"])) <= {0.0, 1.0}
 
     def test_risk_gap_is_scaled_martingale(self):
         trace = learning_simulate(self.spec, seed=3)
@@ -282,12 +301,11 @@ class TestLearning:
             assert np.all(s <= cap + 1e-9)
 
 
-# (spec, seed) per process; the finals keys other than the per-step checks
-# are the path's m, qv, pqv and these trace statistics
+# (spec, seed) per process
 KERNEL_CASES = {
-    "ar1": (AR1Spec(p=1 / 3, theta=0.5, n=100), 7, ("theta_hat",)),
-    "idla": (IDLASpec(n=200), 13, ("x",)),
-    "learn": (LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=100), 23, ("r_hat", "r_bar")),
+    "ar1": (AR1Spec(p=1 / 3, theta=0.5, n=100), 7),
+    "idla": (IDLASpec(n=200), 13),
+    "learn": (LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=100), 23),
 }
 
 
@@ -303,25 +321,26 @@ KERNEL_PARAMS = [
 
 @pytest.mark.parametrize("process, rep, tile", KERNEL_PARAMS)
 def test_kernel_matches_single_path(process, rep, tile, monkeypatch):
-    spec, seed, stats = KERNEL_CASES[process]
+    spec, seed = KERNEL_CASES[process]
     if tile:
         # three more steps end the horizon on a partial tile of the block
         monkeypatch.setattr(processes, "TILE", tile)
         spec = dataclasses.replace(spec, n=spec.n + 3)
     finals = block_finals(spec, seed, 0, 4)
     trace = simulate(spec, seed=seed, replicate=rep)
-    assert set(finals) - {"sandwich_ok"} == {"m", "qv", "pqv", *stats}
+    # finals are the path's m, qv, pqv and every trace statistic at the horizon
+    assert list(finals) == ["m", "qv", "pqv", *trace.stats]
     for key in ("m", "qv", "pqv"):
         assert getattr(trace.path, key)[-1] == finals[key][rep]
-    for key in stats:
-        assert trace.stats[key][-1] == finals[key][rep]
+    for key, series in trace.stats.items():
+        assert series[-1] == finals[key][rep]
 
 
 @pytest.mark.parametrize("process", sorted(KERNEL_CASES))
 def test_steps_read_contiguous_uniforms(process, monkeypatch):
     # the block driver hands every step its uniforms as contiguous vectors,
     # on whole tiles and on the horizon's partial last tile
-    spec, seed, _ = KERNEL_CASES[process]
+    spec, seed = KERNEL_CASES[process]
     spec = dataclasses.replace(spec, n=spec.n + 3)
     monkeypatch.setattr(processes, "TILE", 8)
     dyn = processes._DYNAMICS[type(spec)]
@@ -369,7 +388,7 @@ def test_trace_csv_shape():
 def test_trace_csv_blocks_join_to_whole(process, tile, monkeypatch):
     if tile:
         monkeypatch.setattr(processes, "TILE", tile)
-    spec, seed, _ = KERNEL_CASES[process]
+    spec, seed = KERNEL_CASES[process]
     # the horizon ends inside a block whatever the tile
     trace = simulate(dataclasses.replace(spec, n=2 * processes.TILE + 3), seed=seed)
     whole = trace_to_csv(trace)
