@@ -18,9 +18,12 @@ from typing import Iterable, Iterator
 
 from . import __version__, bounds, montecarlo
 from .bounds import TABLE1
-from .processes import PROCESSES, TILE, ProcessTrace, make_spec, simulate, trace_to_csv
+from .processes import PROCESSES, ProcessTrace, make_spec, simulate, trace_to_csv
 
 DEFAULT_A_GRID = (0.13, 0.2, 1 / 3, 9 / 16, 1.0, 2.0, 10.0)
+
+# Rows of simulate output rendered and written at a time.
+WRITE_ROWS = 1024
 
 
 def parse_real(text: str) -> float:
@@ -38,9 +41,12 @@ def parse_real_list(text: str) -> list[float]:
 def _default_seed() -> int:
     text = os.environ.get("SELFNORM_SEED", "42")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise ValueError(f"SELFNORM_SEED: invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"SELFNORM_SEED: seed must lie in [0, 2**63), got {seed}")
+    return seed
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -202,14 +208,14 @@ _JSON_TRACE_ROW = '{\n      "m": %r,\n      "pqv": %r,\n      "qv": %r,\n      "
 
 
 def _trace_json(trace: ProcessTrace, args: argparse.Namespace) -> Iterator[str]:
-    """The JSON document of a trace, with its rows rendered TILE at a time."""
+    """The JSON document of a trace, with its rows rendered WRITE_ROWS at a time."""
     # "rows" sorts after "header", so the placeholder is the document's last value
     placeholder = "ROWS"
     head, _, tail = _dumps(_json_doc([placeholder], args)).rpartition(json.dumps(placeholder))
     yield head
     path = trace.path
-    for lo in range(0, path.n + 1, TILE):
-        hi = lo + TILE
+    for lo in range(0, path.n + 1, WRITE_ROWS):
+        hi = lo + WRITE_ROWS
         rows = zip(path.m[lo:hi].tolist(), path.pqv[lo:hi].tolist(), path.qv[lo:hi].tolist(), range(lo, hi))
         block = ",\n    ".join(_JSON_TRACE_ROW % row for row in rows)
         yield block if lo == 0 else ",\n    " + block
@@ -237,13 +243,13 @@ def run_weights(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
-    """Simulate one trace and write it TILE rows at a time, so no more than
-    one block of its text is held at once."""
+    """Simulate one trace and write it WRITE_ROWS rows at a time, so no more
+    than one block of its text is held at once."""
     spec = make_spec(args.process, args)
     trace = simulate(spec, args.seed)
     if args.format == "csv":
-        blocks = range(0, trace.path.n + 1, TILE)
-        _write((trace_to_csv(trace, lo, lo + TILE) for lo in blocks), args)
+        blocks = range(0, trace.path.n + 1, WRITE_ROWS)
+        _write((trace_to_csv(trace, lo, lo + WRITE_ROWS) for lo in blocks), args)
     else:
         _write(_trace_json(trace, args), args)
     return 0

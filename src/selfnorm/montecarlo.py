@@ -24,7 +24,6 @@ import numpy as np
 from . import bounds, processes
 from .martingale import s_weighted, supermartingale_weight
 from .processes import (
-    IDLASpec,
     ProcessSpec,
     idla_exact_moments,
     make_spec,
@@ -47,8 +46,8 @@ __all__ = [
 
 # Replicates per simulation chunk.  CHUNK bounds the replicates and
 # processes.TILE the columns of the uniforms drawn at once, so one tile holds
-# at most CHUNK x TILE x 8 B = 32 MiB, plus the 512 KB block its rows are
-# drawn in.
+# at most CHUNK x TILE x 8 B = 8 MiB, plus the 128 KB block a group of 64
+# replicates is drawn in.
 CHUNK = 4096
 
 # Fewest replicates an estimate accepts.
@@ -185,8 +184,6 @@ def _set_y_pqv_margin(run) -> None:
 
 
 def _set_idla_moment(run) -> None:
-    if not isinstance(run.spec, IDLASpec):
-        raise ValueError("missing-factor verification runs on the idla process")
     run.moment = idla_exact_moments(run.spec.n)[1]
 
 
@@ -309,8 +306,9 @@ class Check:
 
     process is simulated once per command (None: nothing is simulated), with
     reps replicates unless --reps is given; any_process lets --process
-    replace it.  prepare(run) then sets the level y or the moment.  grid is
-    the tuple of row keys, or grid(run) computes them.  A tail check holds
+    replace it, and without it any other --process is refused.
+    prepare(run) then sets the level y or the moment.  grid is the tuple of
+    row keys, or grid(run) computes them.  A tail check holds
     its event, event(run, x) being the per-replicate indicator at level x,
     and maps each bound column to bound(run, x), None where the bound does
     not apply; dominating (all when empty) are the bounds theory guarantees,
@@ -366,7 +364,7 @@ CHECKS = {
     "missing-factor": Check(
         "idla", 100_000, (1.0, 1.5, 2.0, 2.5), _mart_missing,
         {"missing-factor": lambda run, x: bounds.missing_factor_bound(x, 2.0)[1]},
-        prepare=_set_idla_moment, any_process=True,
+        prepare=_set_idla_moment,
     ),
     "ar-estimator": Check(
         "ar1", 100_000, lambda run: [f * _ar_limit(run) for f in (0.05, 0.1, 0.2, 0.4)],
@@ -408,11 +406,16 @@ def verify(check: Check, params) -> list[dict]:
     A simulated check runs its process once; every row reads those finals.
     """
     run = SimpleNamespace(**vars(params), y=None)
+    # selfnorm hermite has no --process
+    process = getattr(params, "process", None)
+    if process not in (None, check.process) and not check.any_process:
+        runs_on = f"the {check.process} process only" if check.process else "no process"
+        raise ValueError(f"--process {process} does not apply: this check simulates {runs_on}")
     if check.process is not None:
         reps = check.reps if params.reps is None else params.reps
         if reps < MIN_REPS:
             raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
-        run.process = (check.any_process and params.process) or check.process
+        run.process = process or check.process
         run.spec = make_spec(run.process, params)
         run.finals = simulate_finals(run.spec, params.seed, reps)
         if check.prepare is not None:

@@ -19,20 +19,19 @@ entry of a trace equals its replicate's finals bit for bit.
 :func:`simulate` raises ValueError when its path is not finite, and
 ``montecarlo.simulate_finals`` when any statistic of the finals is not.
 
-Randomness comes from counter-based Philox streams keyed by (seed,
-replicate index), with seed in [0, 2**63), so every replicate is an
-independent stream: results depend only on (spec, seed, replicate), never on
-how replicates are grouped into blocks.  A block is drawn from one bit
-generator whose key is reset for each replicate; the streams are the same
-as those of one generator constructed per replicate.  Philox4x64 yields 4
-doubles per counter value, so a stream restarts exactly at any column that
-is a multiple of 4; :func:`finals` draws its block's streams one tile of at
-most ``TILE`` columns at a time, and the tiles join into the same bits as
-one full draw, so memory does not grow with the horizon.  A tile is stored
-replicate-minor (Fortran order), so each step of :func:`finals` reads its
-uniforms as one contiguous vector of the block's replicates; since Philox
-fills only contiguous memory, the rows are drawn a small C-ordered block at
-a time and copied across.
+Randomness comes from counter-based Philox, with seed in [0, 2**63).  The
+columns of a replicate are cut into tiles of ``TILE``; tile t of replicate r
+is keyed by (seed, r // 64) and starts at counter ((r % 64) * q, t), q being
+the counter values the tile's width takes (see :func:`uniform_rows`).  That
+map from (replicate, column) to (key, counter, lane) is one-to-one, so every
+replicate is an independent stream, and results depend only on (spec, seed,
+replicate), never on how replicates are grouped into blocks; the 64
+replicates sharing a key are adjacent runs, so a block's tile takes one
+generator call per 64 replicates.  :func:`finals` draws its block one tile
+at a time and :func:`simulate` draws its replicate whole; both cut the
+horizon into the same tiles, so their values agree, and memory does not grow
+with the horizon.  A tile is stored replicate-minor (Fortran order), so each
+step of :func:`finals` reads its uniforms as one contiguous vector.
 """
 
 from __future__ import annotations
@@ -46,14 +45,14 @@ import numpy as np
 
 from .martingale import MartingalePath, _cumsum, accumulate
 
-# Uniform columns per tile of finals' draws, a multiple of 4 and of every
-# process's uniforms per step; bounds the memory of one chunk's uniforms
-# along the horizon.
-TILE = 1024
+# Uniform columns per tile, a multiple of 4 and of every process's uniforms
+# per step.  Part of the stream definition (see uniform_rows); it bounds the
+# memory of one chunk's uniforms along the horizon.
+TILE = 256
 
-# Rows uniform_rows draws into its C-ordered block before copying them into
-# its Fortran-ordered result: 512 KB at TILE columns.
-_DRAW_ROWS = 64
+# Replicates that share a Philox key, their runs adjacent within each tile.
+# Part of the stream definition.
+_GROUP = 64
 
 __all__ = [
     "AR1Spec",
@@ -183,46 +182,55 @@ class ProcessTrace:
 def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0) -> np.ndarray:
     """Uniform(0,1) draws for replicates rep_lo..rep_hi-1, one row each.
 
-    Row i holds columns col_lo..col_lo+cols-1 of the Philox stream keyed by
-    (seed, rep_lo + i).  One bit generator serves the whole block: before
-    each row its key is set to the replicate and its counter, buffer and
-    cached half-word are reset, so every row equals a fresh
-    ``Generator(Philox(key=[seed, rep]))`` advanced by col_lo draws.  Each
-    counter value gives 4 doubles, so the counter restarts the stream at
-    col_lo exactly when col_lo is a multiple of 4; other offsets raise
-    ValueError.
+    Row i holds columns col_lo..col_lo+cols-1 of replicate rep_lo + i.  The
+    request is cut into tiles of ``TILE`` columns, the last one shorter, so
+    col_lo must be a non-negative multiple of ``TILE`` (else ValueError).
+    Tile t (columns t*TILE onwards, width w, q = ceil(w/4)) of replicate r
+    is exactly::
+
+        gen = Generator(Philox(key=[seed, r // 64], counter=[(r % 64) * q, t, 0, 0]))
+        gen.random(4 * q)[:w]
+
+    Philox4x64 yields 4 doubles per counter value, so the 64 replicates of a
+    key's group are adjacent runs of q counter values: each (group, tile) is
+    one state assignment and one ``random`` call into a C-ordered block of
+    at most 64 rows, whatever part of the group the request covers.  A
+    value depends only on seed, replicate, column, ``TILE`` and its tile's
+    width, so tiles drawn one call at a time join into one full draw.
 
     The array is Fortran-ordered: each column, one uniform of every
-    replicate, is contiguous, so the transpose is C-contiguous.  Philox fills
-    only contiguous memory, so rows are drawn ``_DRAW_ROWS`` at a time into a
-    C-ordered block and copied across; a single row is contiguous in both
-    orders and is drawn in place.
+    replicate, is contiguous, so the transpose is C-contiguous.  Philox
+    fills only contiguous memory, so each block is copied across.
     """
-    # numpy stores key=[seed, rep] as float64 from 2**63 on, merging seeds
+    # numpy stores key=[seed, group] as float64 from 2**63 on, merging seeds
     if not 0 <= seed < 2**63:
         raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
-    if col_lo < 0 or col_lo % 4:
-        raise ValueError(f"col_lo must be a non-negative multiple of 4, got {col_lo}")
-    B = rep_hi - rep_lo
-    out = np.empty((B, cols), order="F")
-    block = out if B == 1 else np.empty((min(B, _DRAW_ROWS), cols))
-    bitgen = np.random.Philox(key=[seed, rep_lo])
+    if col_lo < 0 or col_lo % TILE:
+        raise ValueError(f"col_lo must be a non-negative multiple of TILE = {TILE}, got {col_lo}")
+    out = np.empty((rep_hi - rep_lo, cols), order="F")
+    block = np.empty(_GROUP * 4 * -(-min(TILE, cols) // 4))
+    bitgen = np.random.Philox(key=[seed, 0])
     gen = np.random.Generator(bitgen)
     # the fresh state of this instance; its name must match the bit
     # generator's class, so it is read, not written out.  Its fields are set
     # as lists, which the state setter takes several times faster than arrays.
     state = bitgen.state
-    key = [seed, rep_lo]
-    state["state"] = {"counter": [col_lo // 4, 0, 0, 0], "key": key}
+    key, counter = [seed, 0], [0, 0, 0, 0]
+    state["state"] = {"counter": counter, "key": key}
     state["buffer"] = [0, 0, 0, 0]
-    for lo in range(0, B, _DRAW_ROWS):
-        rows = block[: B - lo]
-        for rep, row in zip(range(rep_lo + lo, rep_hi), rows):
-            key[1] = rep
+    for lo in range(0, cols, TILE):
+        w = min(TILE, cols - lo)
+        q = -(-w // 4)
+        counter[1] = (col_lo + lo) // TILE
+        for group_lo in range(rep_lo - rep_lo % _GROUP, rep_hi, _GROUP):
+            first, last = max(rep_lo, group_lo), min(rep_hi, group_lo + _GROUP)
+            key[1] = group_lo // _GROUP
+            counter[0] = (first - group_lo) * q
+            # the assignment also empties the buffer and the cached half-word
             bitgen.state = state
-            gen.random(out=row)
-        if block is not out:
-            out[lo : lo + len(rows)] = rows
+            rows = block[: (last - first) * 4 * q].reshape(last - first, 4 * q)
+            gen.random(out=rows)
+            out[first - rep_lo : last - rep_lo, lo : lo + w] = rows[:, :w]
     return out
 
 
@@ -319,7 +327,7 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
 
     The uniforms are drawn one tile of ``TILE // cols`` steps at a time (the
     last tile may be shorter), so at most one tile of B x TILE doubles is
-    held; a horizon of at most ``TILE`` columns takes one draw.
+    held.
     """
     dyn = _DYNAMICS[type(spec)]
     B = rep_hi - rep_lo

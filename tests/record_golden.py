@@ -6,11 +6,17 @@ stderr are held byte-identical by ``tests/test_golden.py``.
 runs every command in process through ``cli.main`` and writes the SHA-256
 of each one's (exit code, stdout, stderr) to ``tests/golden_digests.json``.
 A change that moves any output re-records the file in the same change and
-names each changed digest, with its reason, in CHANGES.md.
+names each changed digest, with its reason, in CHANGES.md;
+
+    PYTHONPATH=src python tests/record_golden.py --diff
+
+writes nothing and prints that list: each command whose digest differs from
+the file, then each one added to or dropped from the corpus.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -59,11 +65,24 @@ def _verify_cases() -> list[Case]:
     return cases
 
 
+def _refused_process_cases() -> list[Case]:
+    # an entry that fixes its process refuses every other --process
+    return [
+        Case(("verify", check_id, "--process", process, "--n", "30", "--reps", "200"))
+        for check_id, check in CHECKS.items()
+        if not check.any_process
+        for process in sorted(PROCESSES)
+        if process != check.process
+    ]
+
+
 def _simulate_cases() -> list[Case]:
+    # n crosses the stream's tiles (TILE) and the CLI's write blocks
+    write = cli.WRITE_ROWS
     return [
         Case(("simulate", process, "--n", str(n), "--seed", "3", "--format", fmt))
         for process in sorted(PROCESSES)
-        for n in (1, TILE - 1, TILE, TILE + 1)
+        for n in sorted({1, TILE - 1, TILE, TILE + 1, write - 1, write, write + 1})
         for fmt in ("csv", "json")
     ]
 
@@ -74,8 +93,12 @@ CASES = [
     Case(("verify", "hermite")),
     Case(("weights", "--table1")),
     Case(("learning-table",)),
+    # 600 uniform columns take three tiles, the last partial, and 130
+    # replicates end 2 into their third group of 64
+    Case(("verify", "learn-threshold", "--n", "300", "--reps", "130", "--seed", "3")),
     *_simulate_cases(),
     # every bad input exits 2 with one error: line
+    *_refused_process_cases(),
     Case(("simulate", "idla", "--n", "3", "--seed", "abc")),
     Case(("simulate", "idla", "--n", "3", "--seed", "-1")),
     Case(("simulate", "idla", "--n", "3", "--seed", str(2**63))),
@@ -115,9 +138,28 @@ def digest(code: int, out: str, err: str) -> str:
     return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
 
 
-def main() -> int:
+def diff(table: dict[str, str], recorded: dict[str, str]) -> list[str]:
+    """Lines naming each command whose digest differs from the recording,
+    then each command added to or dropped from the corpus."""
+    return (
+        [f"changed {key}" for key in table if key in recorded and table[key] != recorded[key]]
+        + [f"added {key}" for key in table if key not in recorded]
+        + [f"dropped {key}" for key in recorded if key not in table]
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Record the golden-output corpus.")
+    parser.add_argument(
+        "--diff", action="store_true", help="print what differs from the recording; write nothing"
+    )
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         table = {case.key: digest(*run(case, Path(tmp))) for case in CASES}
+    if args.diff:
+        lines = diff(table, json.loads(DIGESTS.read_text()))
+        print("\n".join(lines) if lines else "no differences")
+        return 0
     DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
     print(f"recorded {len(table)} digests in {DIGESTS}", file=sys.stderr)
     return 0

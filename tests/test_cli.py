@@ -8,7 +8,7 @@ from selfnorm import __version__, cli
 from selfnorm.cli import main, parse_real, parse_real_list
 from selfnorm.bounds import TABLE1
 from selfnorm import montecarlo
-from selfnorm.processes import TILE, make_spec, simulate
+from selfnorm.processes import make_spec, simulate
 from selfnorm.montecarlo import CHECKS
 
 
@@ -202,6 +202,28 @@ def test_every_verify_id(capsys, monkeypatch, check_id, process):
     assert len(calls) == (0 if CHECKS[check_id].process is None else 1)
 
 
+@pytest.mark.parametrize(
+    "check_id, process",
+    [
+        (check_id, process)
+        for check_id, check in CHECKS.items()
+        if not check.any_process
+        for process in ALL_PROCESSES
+        if process != check.process
+    ],
+)
+def test_process_refused_unless_entry_takes_it(capsys, monkeypatch, check_id, process):
+    # a check that fixes its process refuses any other --process before
+    # simulating, rather than ignoring it
+    calls = []
+    monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
+    code = main(["verify", check_id, "--process", process, "--n", "30", "--reps", "200"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err.startswith(f"error: --process {process} does not apply")
+    assert calls == []
+
+
 @pytest.mark.parametrize("check_id", ["idla-sqrt", "supermartingale"])
 @pytest.mark.parametrize("reps", ["0", "-5", "99"])
 def test_reps_below_floor_exits_2(capsys, check_id, reps):
@@ -386,12 +408,22 @@ class TestSeedRange:
     def test_flag_out_of_range_exits_2(self, capsys):
         for seed in ("99999999999999999999999", str(2**63)):
             code = main(["simulate", "idla", "--n", "8", "--seed", seed])
-            assert_one_error_line(code, capsys.readouterr())
+            captured = capsys.readouterr()
+            assert_one_error_line(code, captured)
+            assert "SELFNORM_SEED" not in captured.err
 
     def test_env_out_of_range_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("SELFNORM_SEED", str(2**64 - 1))
         code = main(["verify", "idla-sqrt", "--n", "8", "--reps", "100"])
         assert_one_error_line(code, capsys.readouterr())
+
+    @pytest.mark.parametrize("text", [str(2**64 - 1), str(2**63), "-1"])
+    def test_env_out_of_range_names_the_variable(self, monkeypatch, capsys, text):
+        monkeypatch.setenv("SELFNORM_SEED", text)
+        code = main(["weights"])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert captured.err == f"error: SELFNORM_SEED: seed must lie in [0, 2**63), got {text}\n"
 
     @pytest.mark.parametrize("text", ["abc", "", "1.5"])
     def test_env_not_an_int_names_the_variable(self, monkeypatch, capsys, text):
@@ -491,10 +523,11 @@ def test_help_and_version_exit_0(capsys, flag):
 
 
 class TestSimulateStreaming:
-    """simulate writes its trace TILE rows at a time; the bytes are those of
-    the whole document, and the memory used for them stays flat in n."""
+    """simulate writes its trace WRITE_ROWS rows at a time; the bytes are
+    those of the whole document, and the memory used for them stays flat in
+    n."""
 
-    @pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1])
+    @pytest.mark.parametrize("n", [1, cli.WRITE_ROWS - 1, cli.WRITE_ROWS, cli.WRITE_ROWS + 1])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("process", ["ar1", "idla", "learn"])
     def test_stdout_equals_out_file(self, capsys, tmp_path, process, fmt, n):
@@ -539,7 +572,7 @@ class TestSimulateStreaming:
         monkeypatch.setattr(cli, "simulate", simulate_and_mark)
         extra = []
         for tiles in (1, 4, 40):  # the first run takes one-time allocations
-            argv = ["simulate", "ar1", "--n", str(tiles * TILE), "--format", fmt]
+            argv = ["simulate", "ar1", "--n", str(tiles * cli.WRITE_ROWS), "--format", fmt]
             tracemalloc.start()
             try:
                 assert main(argv + ["--out", str(tmp_path / "trace")]) == 0

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from record_golden import CASES, DIGESTS, digest, run
+from record_golden import CASES, DIGESTS, diff, digest, run
 
 RECORDED = json.loads(DIGESTS.read_text())
 
@@ -18,3 +18,10 @@ def test_corpus_matches_recording():
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.key)
 def test_output_unchanged(case, tmp_path):
     assert digest(*run(case, tmp_path)) == RECORDED[case.key]
+
+
+def test_diff_names_changed_added_and_dropped():
+    recorded = {"same": "1", "moved": "2", "gone": "3"}
+    table = {"same": "1", "moved": "4", "new": "5"}
+    assert diff(table, recorded) == ["changed moved", "added new", "dropped gone"]
+    assert diff(recorded, recorded) == []

@@ -45,15 +45,32 @@ class TestSpecs:
         assert spec.sigma2 == pytest.approx(8 / 9, abs=1e-15)
 
 
-def assert_matches_per_replicate_construction(seed, rep_lo, B, cols, col_lo):
-    def stream(rep):
-        gen = np.random.Generator(np.random.Philox(key=[seed, rep]))
-        return gen.random(col_lo + cols)[col_lo:]
+def reference_rows(seed, rep_lo, B, cols, col_lo):
+    """The stream's definition: one fresh generator per replicate and tile."""
+    T = processes.TILE
 
-    ref = np.array([stream(rep) for rep in range(rep_lo, rep_lo + B)])
+    def tile(rep, t, w):
+        q = -(-w // 4)
+        counter = [rep % 64 * q, t, 0, 0]
+        gen = np.random.Generator(np.random.Philox(key=[seed, rep // 64], counter=counter))
+        return gen.random(4 * q)[:w]
+
+    def row(rep):
+        tiles = [tile(rep, (col_lo + lo) // T, min(T, cols - lo)) for lo in range(0, cols, T)]
+        return np.concatenate(tiles)
+
+    return np.array([row(rep) for rep in range(rep_lo, rep_lo + B)])
+
+
+def assert_matches_per_replicate_construction(seed, rep_lo, B, cols, col_lo):
+    ref = reference_rows(seed, rep_lo, B, cols, col_lo)
     rows = uniform_rows(seed, rep_lo, rep_lo + B, cols, col_lo)
     assert rows.shape == (B, cols)
     assert rows.tobytes() == ref.tobytes()
+
+
+# a whole tile and a partial one
+TWO_TILES = processes.TILE + 7
 
 
 class TestRng:
@@ -71,7 +88,7 @@ class TestRng:
             uniform_rows(-1, 0, 1, 8)
 
     def test_seed_range(self):
-        # numpy reads the key [seed, rep] as float64 once seed >= 2**63,
+        # numpy reads the key [seed, group] as float64 once seed >= 2**63,
         # where neighbouring seeds give the same stream
         top = uniform_rows(2**63 - 1, 0, 2, 8)
         assert not np.array_equal(top, uniform_rows(2**63 - 2, 0, 2, 8))
@@ -80,21 +97,40 @@ class TestRng:
                 uniform_rows(seed, 0, 1, 8)
 
     @pytest.mark.parametrize("seed", [0, 42, 2**63 - 1])
-    @pytest.mark.parametrize("rep_lo", [0, 4095, 4096])
-    @pytest.mark.parametrize("cols", [1, 7, 200])
+    @pytest.mark.parametrize("rep_lo", [0, 63, 64, 65, 4095, 4096])
+    @pytest.mark.parametrize("cols", [1, 7, 200, TWO_TILES])
     def test_matches_per_replicate_construction(self, seed, rep_lo, cols):
-        # one fresh generator per replicate is the definition of the stream;
-        # odd cols leave the Philox buffer partly used between rows
+        # one fresh generator per replicate and tile is the definition of the
+        # stream; odd cols leave part of the tile's last counter value unused,
+        # and rep_lo 63..65 put the 3 rows across a key's group boundary
         assert_matches_per_replicate_construction(seed, rep_lo, 3, cols, 0)
 
-    @pytest.mark.parametrize("cols", [1, 7, 200])
-    @pytest.mark.parametrize("col_lo", [0, 4, 1024])
+    @pytest.mark.parametrize("cols", [1, 7, 200, TWO_TILES])
+    @pytest.mark.parametrize("col_lo", [0, processes.TILE, 4 * processes.TILE])
     @pytest.mark.parametrize("B", [1, 63, 64, 65, 129])
     def test_draw_blocks_match_per_replicate_construction(self, cols, col_lo, B):
-        # B crosses the boundaries of the blocks the rows are drawn in,
-        # col_lo restarts each stream inside it, and the replicates straddle
+        # B crosses the boundaries of the groups that share a key, col_lo
+        # starts the request at a later tile, and the replicates straddle
         # 4096, the first replicate of a run's second chunk
         assert_matches_per_replicate_construction(2**63 - 1, 4095 - B // 2, B, cols, col_lo)
+
+    def test_stream_positions_one_to_one(self):
+        # (replicate, column) -> (key, counter, lane) over replicates that
+        # cross group boundaries and columns that cross tile boundaries, the
+        # last tile partial; Philox steps its counter before each 4 doubles
+        T, seed, reps, cols = processes.TILE, 7, range(60, 200), 2 * processes.TILE + 5
+        positions = set()
+        for rep in reps:
+            for col in range(cols):
+                t, offset = divmod(col, T)
+                q = -(-min(T, cols - t * T) // 4)
+                counter = (rep % 64 * q + offset // 4 + 1, t)
+                positions.add(((seed, rep // 64), counter, offset % 4))
+        assert len(positions) == len(reps) * cols
+        # and the draws agree: a position shared by two cells would repeat a
+        # value, which 2**53-valued uniforms otherwise do with odds near 1e-7
+        rows = uniform_rows(seed, reps.start, reps.stop, cols)
+        assert len(np.unique(rows)) == rows.size
 
     @pytest.mark.parametrize("B", [1, 2, 65])
     def test_step_major_layout(self, B):
@@ -117,9 +153,11 @@ class TestRng:
         assert len(built) == 1
         assert rows.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("tile", [4, 8, 1024])
-    def test_tiles_join_into_full_draw(self, tile):
-        # two whole tiles and a partial one of 3 columns
+    @pytest.mark.parametrize("tile", [4, 8, processes.TILE, 1024])
+    def test_tiles_join_into_full_draw(self, tile, monkeypatch):
+        # two whole tiles and a partial one of 3 columns, drawn one call per
+        # tile as finals does, give the bits of one full draw
+        monkeypatch.setattr(processes, "TILE", tile)
         cols = 2 * tile + 3
         full = uniform_rows(9, 4094, 4099, cols)
         tiles = [
@@ -127,10 +165,13 @@ class TestRng:
         ]
         assert len(tiles) == 3
         assert np.hstack(tiles).tobytes() == full.tobytes()
+        assert full.tobytes() == reference_rows(9, 4094, 5, cols, 0).tobytes()
 
-    @pytest.mark.parametrize("col_lo", [-4, -1, 1, 2, 6])
-    def test_col_lo_must_be_non_negative_multiple_of_4(self, col_lo):
-        with pytest.raises(ValueError, match="col_lo must be a non-negative multiple of 4"):
+    @pytest.mark.parametrize(
+        "col_lo", [-4, -1, 1, 2, 6, 4, processes.TILE // 2, processes.TILE + 4, -processes.TILE]
+    )
+    def test_col_lo_must_be_non_negative_multiple_of_tile(self, col_lo):
+        with pytest.raises(ValueError, match="col_lo must be a non-negative multiple of TILE"):
             uniform_rows(9, 0, 1, 8, col_lo)
 
 
@@ -358,16 +399,17 @@ def test_steps_read_contiguous_uniforms(process, monkeypatch):
 def test_finals_memory_does_not_grow_with_horizon():
     # the block holds one tile of uniforms (2 MB here) at a time, whatever the
     # horizon; holding every tile, or two at once, would add 2 MB or more
+    B = 2_000_000 // (8 * processes.TILE)
     specs = [
         LearnSpec(theta_star=0.5, eta=0.1, gamma0=0.5, c0=0.0, n=tiles * processes.TILE // 2)
         for tiles in (1, 4)
     ]
-    block_finals(specs[0], 5, 0, 256)  # one-time allocations stay out of the peaks
+    block_finals(specs[0], 5, 0, B)  # one-time allocations stay out of the peaks
     peaks = []
     for spec in specs:
         tracemalloc.start()
         try:
-            block_finals(spec, 5, 0, 256)
+            block_finals(spec, 5, 0, B)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
