@@ -180,13 +180,30 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
 
 
+def _columns(rows: list[dict]) -> list[str]:
+    """Every key of any row, each placed after the key that precedes it in
+    the first row that has it, so rows that omit a column (a bound that does
+    not apply at their level) give the same header in any order."""
+    columns: list[str] = []
+    for row in rows:
+        at = 0
+        for key in row:
+            if key in columns:
+                at = columns.index(key) + 1
+            else:
+                columns.insert(at, key)
+                at += 1
+    return columns
+
+
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
     if args.format == "json":
         text = _dumps(_json_doc(rows, args))
     else:
         buf = io.StringIO()
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
+            # a row without a column's value leaves its cell empty
+            writer = csv.DictWriter(buf, fieldnames=_columns(rows), lineterminator="\r\n")
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()

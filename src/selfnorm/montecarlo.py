@@ -155,7 +155,7 @@ def _bound_row(run, x: float, check: Check) -> dict:
 
 
 # x-grid rules, levels, events and bounds of tail checks; run holds the flag
-# values (a, alpha, seed, ...), the process spec and finals, y and moment.
+# values (a, alpha, seed, ...), the process spec and finals, and y.
 
 
 def _quantiles(statistic: Callable):
@@ -181,10 +181,6 @@ def _set_y_pqv_margin(run) -> None:
     run.y = float(np.median(bounds.weight_c(run.a) * run.finals["pqv"] - run.finals["qv"]))
     if run.y <= 0.0:
         raise ValueError("c(a)<M>_n - [M]_n is not positive at the median; pick a larger a")
-
-
-def _set_idla_moment(run) -> None:
-    run.moment = idla_exact_moments(run.spec.n)[1]
 
 
 # Events of the tail and learning checks: event(run, x) is the per-replicate
@@ -213,11 +209,11 @@ def _mart_pqv_ratio(run, x: float) -> np.ndarray:
 
 
 def _mart_missing(run, x: float) -> np.ndarray:
-    """|M_n|/sqrt(a S_n(a) + moment) >= x/sqrt(B_2), with moment = E[M_n^2]."""
+    """|M_n|/sqrt(a S_n(a) + E[M_n^2]) >= x/sqrt(B_2), on IDLA's exact E[M_n^2]."""
     f = run.finals
     hp = bounds.HolderPair.make(2.0)
     s = s_weighted(f["qv"], f["pqv"], run.a)
-    denom = np.sqrt(run.a * s + run.moment)
+    denom = np.sqrt(run.a * s + idla_exact_moments(run.spec.n)[1])
     return np.abs(f["m"]) >= x / math.sqrt(hp.B) * denom
 
 
@@ -307,13 +303,14 @@ class Check:
     process is simulated once per command (None: nothing is simulated), with
     reps replicates unless --reps is given; any_process lets --process
     replace it, and without it any other --process is refused.
-    prepare(run) then sets the level y or the moment.  grid is the tuple of
-    row keys, or grid(run) computes them.  A tail check holds
-    its event, event(run, x) being the per-replicate indicator at level x,
-    and maps each bound column to bound(run, x), None where the bound does
-    not apply; dominating (all when empty) are the bounds theory guarantees,
-    and --x-grid replaces its grid.  Any other check builds each row with
-    row(run, key).
+    prepare(run) then sets the level y.  grid is the tuple of row keys, or
+    grid(run) computes them.  A tail check holds its event, event(run, x)
+    being the per-replicate indicator at level x, and maps each bound column
+    to bound(run, x), None where the bound does not apply; dominating (all
+    when empty) are the bounds theory guarantees, and --x-grid replaces its
+    grid.  Any other check builds each row with row(run, key).  A check
+    that simulates no process refuses --reps, and one without an event
+    refuses --x-grid.
     """
 
     process: str | None
@@ -364,7 +361,6 @@ CHECKS = {
     "missing-factor": Check(
         "idla", 100_000, (1.0, 1.5, 2.0, 2.5), _mart_missing,
         {"missing-factor": lambda run, x: bounds.missing_factor_bound(x, 2.0)[1]},
-        prepare=_set_idla_moment,
     ),
     "ar-estimator": Check(
         "ar1", 100_000, lambda run: [f * _ar_limit(run) for f in (0.05, 0.1, 0.2, 0.4)],
@@ -404,15 +400,23 @@ def verify(check: Check, params) -> list[dict]:
     """Rows of one check for the command's flag values (params).
 
     A simulated check runs its process once; every row reads those finals.
+    A flag the check does not read raises ValueError before anything is
+    simulated.
     """
     run = SimpleNamespace(**vars(params), y=None)
-    # selfnorm hermite has no --process
+    # selfnorm hermite has no --process or --x-grid
     process = getattr(params, "process", None)
     if process not in (None, check.process) and not check.any_process:
         runs_on = f"the {check.process} process only" if check.process else "no process"
         raise ValueError(f"--process {process} does not apply: this check simulates {runs_on}")
+    reps = getattr(params, "reps", None)
+    if reps is not None and check.process is None:
+        raise ValueError("--reps does not apply: this check simulates no process")
+    x_grid = getattr(params, "x_grid", None)
+    if x_grid is not None and check.event is None:
+        raise ValueError("--x-grid does not apply: this check has no tail event")
     if check.process is not None:
-        reps = check.reps if params.reps is None else params.reps
+        reps = check.reps if reps is None else reps
         if reps < MIN_REPS:
             raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
         run.process = process or check.process
@@ -420,8 +424,8 @@ def verify(check: Check, params) -> list[dict]:
         run.finals = simulate_finals(run.spec, params.seed, reps)
         if check.prepare is not None:
             check.prepare(run)
-    if check.event is not None and params.x_grid:
-        keys = params.x_grid
+    if x_grid:
+        keys = x_grid
     else:
         keys = check.grid(run) if callable(check.grid) else check.grid
     if check.event is None:

@@ -1,13 +1,17 @@
 """Exact simulators for the three application processes.
 
-Each process is written once, as one step of its martingale decomposition
-and one set of statistics.  ``step(spec, x, u, k)`` maps the state before
-step k and that step's uniforms to ``(x_new, increment, cond_second_moment,
-terms)``, where terms are the step's summands of the process's statistics;
-``stats(spec, x, sums, k)`` forms the statistics after k steps from the
-state and the running sums of the terms.  Both use only operators (and
-``_clip01`` for the learner's clamp), so the same definition works on Python
-floats or on arrays.
+Each process is its spec class, written once as one step of its martingale
+decomposition and one set of statistics.  A step reads ``spec.cols``
+uniforms, and the state starts at ``spec.x0``.  ``spec.step(x, u, k)`` maps
+the state before step k and that step's uniforms to ``(x_new, increment,
+cond_second_moment, terms)``, where terms are the step's summands of the
+process's statistics, named by ``spec.terms``; ``spec.stats(x, sums, k)``
+forms the statistics after k steps from the state and the running sums of
+the terms, and its keys, in order, are the trace CSV columns after m, qv and
+pqv.  Both use only operators (and ``_clip01`` for the learner's clamp), so
+the same definition works on Python floats or on arrays.  IDLA's step
+compares its uniform against ``IDLASpec.up``, the one definition of its
+up-probability.
 
 Two drivers run the steps.  :func:`finals` advances a block of replicates
 and keeps running totals of the increments, their squares, the conditional
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,6 +94,10 @@ class AR1Spec:
     theta: float
     n: int
 
+    cols: ClassVar[int] = 1
+    terms: ClassVar[tuple[str, ...]] = ("sxx", "sxy")
+    x0: ClassVar[float] = 1.0
+
     def __post_init__(self):
         if not 0.0 < self.p <= 0.5:
             raise ValueError(f"p must lie in (0, 1/2], got {self.p}")
@@ -104,6 +112,15 @@ class AR1Spec:
     def sigma2(self) -> float:
         return 4.0 * self.p * self.q
 
+    def step(self, x, u, k):
+        eps = 2.0 * ((u[0] < self.p) - self.p)
+        x_new = self.theta * x + eps
+        return x_new, x * eps, self.sigma2 * x * x, (x * x, x * x_new)
+
+    def stats(self, x, sums, k):
+        # theta_hat is 0/0 = nan before the first step
+        return {"x": x, "theta_hat": sums["sxy"] / sums["sxx"]}
+
 
 @dataclass(frozen=True)
 class IDLASpec:
@@ -111,9 +128,25 @@ class IDLASpec:
 
     n: int
 
+    cols: ClassVar[int] = 1
+    terms: ClassVar[tuple[str, ...]] = ()
+    x0: ClassVar[float] = 0.0
+
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"horizon must be >= 1, got {self.n}")
+
+    def up(self, x, k):
+        """Probability that step k moves X up by 1 from X_{k-1} = x (else
+        down by 1), so that E[X_k | X_{k-1}] = k/(k+1) X_{k-1}."""
+        return (k + 1 - x) / (2.0 * (k + 1))
+
+    def step(self, x, u, k):
+        x_new = x + (2.0 * (u[0] < self.up(x, k)) - 1.0)
+        return x_new, (k + 1) * x_new - k * x, (k + 1.0) ** 2 - x * x, ()
+
+    def stats(self, x, sums, k):
+        return {"x": x, "l": (x - k) / 2.0, "r": (x + k) / 2.0}
 
 
 @dataclass(frozen=True)
@@ -131,6 +164,9 @@ class LearnSpec:
     c0: float
     n: int
 
+    cols: ClassVar[int] = 2
+    terms: ClassVar[tuple[str, ...]] = ("loss", "true_risk")
+
     def __post_init__(self):
         if not 0.0 <= self.theta_star <= 1.0:
             raise ValueError(f"theta_star must lie in [0, 1], got {self.theta_star}")
@@ -142,6 +178,22 @@ class LearnSpec:
             raise ValueError(f"c0 must lie in [0, 1], got {self.c0}")
         if self.n < 1:
             raise ValueError(f"horizon must be >= 1, got {self.n}")
+
+    @property
+    def x0(self) -> float:
+        return self.c0
+
+    def step(self, c, u, k):
+        y = (u[0] >= self.theta_star) ^ (u[1] < self.eta)
+        pred = u[0] >= c
+        loss = 1.0 * (pred != y)
+        risk = true_risk(c, self.theta_star, self.eta)
+        c_new = _clip01(c + self.gamma0 / math.sqrt(k) * (1.0 * pred - y))
+        return c_new, risk - loss, risk * (1.0 - risk), (loss, risk)
+
+    def stats(self, c, sums, k):
+        steps = np.maximum(k, 1)  # both averages are 0 at step 0
+        return {"c": c, "r_hat": sums["loss"] / steps, "r_bar": sums["true_risk"] / steps}
 
 
 ProcessSpec = AR1Spec | IDLASpec | LearnSpec
@@ -260,68 +312,6 @@ def _clip01(v):
     return np.minimum(1.0, np.maximum(0.0, v))
 
 
-def _ar1_step(spec: AR1Spec, x, u, k):
-    eps = 2.0 * ((u[0] < spec.p) - spec.p)
-    x_new = spec.theta * x + eps
-    return x_new, x * eps, spec.sigma2 * x * x, (x * x, x * x_new)
-
-
-def _ar1_stats(spec: AR1Spec, x, sums, k):
-    # theta_hat is 0/0 = nan before the first step
-    return {"x": x, "theta_hat": sums["sxy"] / sums["sxx"]}
-
-
-def _idla_step(spec: IDLASpec, x, u, k):
-    p_up = (k + 1 - x) / (2.0 * (k + 1))
-    x_new = x + (2.0 * (u[0] < p_up) - 1.0)
-    return x_new, (k + 1) * x_new - k * x, (k + 1.0) ** 2 - x * x, ()
-
-
-def _idla_stats(spec: IDLASpec, x, sums, k):
-    return {"x": x, "l": (x - k) / 2.0, "r": (x + k) / 2.0}
-
-
-def _learning_step(spec: LearnSpec, c, u, k):
-    y = (u[0] >= spec.theta_star) ^ (u[1] < spec.eta)
-    pred = u[0] >= c
-    loss = 1.0 * (pred != y)
-    risk = true_risk(c, spec.theta_star, spec.eta)
-    c_new = _clip01(c + spec.gamma0 / math.sqrt(k) * (1.0 * pred - y))
-    return c_new, risk - loss, risk * (1.0 - risk), (loss, risk)
-
-
-def _learning_stats(spec: LearnSpec, c, sums, k):
-    steps = np.maximum(k, 1)  # both averages are 0 at step 0
-    return {"c": c, "r_hat": sums["loss"] / steps, "r_bar": sums["true_risk"] / steps}
-
-
-@dataclass(frozen=True)
-class _Dynamics:
-    """One process for the two drivers.
-
-    cols uniforms per step; the initial state init(spec); the step; the names
-    of its terms; and stats(spec, x, sums, k), the process's statistics after
-    k steps from the state and the running term sums, on floats or arrays.
-    Its keys, in order, are the trace CSV columns after m, qv and pqv.
-    """
-
-    cols: int
-    init: Callable
-    step: Callable
-    terms: tuple[str, ...]
-    stats: Callable
-
-
-# spec type: _Dynamics(cols, init, step, terms, stats)
-_DYNAMICS = {
-    AR1Spec: _Dynamics(1, lambda spec: 1.0, _ar1_step, ("sxx", "sxy"), _ar1_stats),
-    IDLASpec: _Dynamics(1, lambda spec: 0.0, _idla_step, (), _idla_stats),
-    LearnSpec: _Dynamics(
-        2, lambda spec: spec.c0, _learning_step, ("loss", "true_risk"), _learning_stats
-    ),
-}
-
-
 def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, np.ndarray]:
     """End-of-horizon summaries for the block of replicates rep_lo..rep_hi-1.
 
@@ -329,12 +319,11 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
     last tile may be shorter), so at most one tile of B x TILE doubles is
     held.
     """
-    dyn = _DYNAMICS[type(spec)]
     B = rep_hi - rep_lo
-    tile_steps = TILE // dyn.cols
-    x = np.full(B, dyn.init(spec))
+    tile_steps = TILE // spec.cols
+    x = np.full(B, spec.x0)
     # m, qv, pqv, then the terms, each summed from 0.0 in step order
-    totals = [np.zeros(B) for _ in range(3 + len(dyn.terms))]
+    totals = [np.zeros(B) for _ in range(3 + len(spec.terms))]
     # an overflow turns statistics non-finite, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, spec.n, tile_steps):
@@ -342,16 +331,16 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
             # u[k - k0 - 1][:, i] are step k's uniforms of replicate i; the
             # transpose of the Fortran-ordered draw is C-contiguous, so this
             # is a view and each step's uniforms are contiguous
-            u = uniform_rows(seed, rep_lo, rep_hi, steps * dyn.cols, k0 * dyn.cols)
-            u = u.T.reshape(steps, dyn.cols, B)
+            u = uniform_rows(seed, rep_lo, rep_hi, steps * spec.cols, k0 * spec.cols)
+            u = u.T.reshape(steps, spec.cols, B)
             for k in range(k0 + 1, k0 + steps + 1):
-                x, inc, csm, terms = dyn.step(spec, x, u[k - k0 - 1], k)
+                x, inc, csm, terms = spec.step(x, u[k - k0 - 1], k)
                 for total, value in zip(totals, (inc, inc * inc, csm, *terms)):
                     total += value
             # free this tile before the next one is drawn
             del u
         m, qv, pqv, *sums = totals
-        stats = dyn.stats(spec, x, dict(zip(dyn.terms, sums)), spec.n)
+        stats = spec.stats(x, dict(zip(spec.terms, sums)), spec.n)
     return {"m": m, "qv": qv, "pqv": pqv, **stats}
 
 
@@ -360,23 +349,24 @@ def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
 
     Raises ValueError when the path's m, qv or pqv is not finite.
     """
-    dyn = _DYNAMICS[type(spec)]
+    # looked up once for the n float steps below
+    step, cols = spec.step, spec.cols
     # a memoryview hands out floats one at a time, and the array('d') records
     # hold raw doubles, so no step keeps a Python object alive
-    u = memoryview(uniform_rows(seed, replicate, replicate + 1, spec.n * dyn.cols)[0])
-    x = dyn.init(spec)
+    u = memoryview(uniform_rows(seed, replicate, replicate + 1, spec.n * cols)[0])
+    x = spec.x0
     states, records = array("d", [x]), array("d")
     for k in range(1, spec.n + 1):
-        x, inc, csm, terms = dyn.step(spec, x, u[(k - 1) * dyn.cols : k * dyn.cols], k)
+        x, inc, csm, terms = step(x, u[(k - 1) * cols : k * cols], k)
         states.append(x)
         records.extend((inc, csm, *terms))
     inc, csm, *term_series = np.frombuffer(records).reshape(spec.n, -1).T
-    terms = dict(zip(dyn.terms, term_series))
+    terms = dict(zip(spec.terms, term_series))
     # an overflow turns the path non-finite, which is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         path = accumulate(inc, csm)
         sums = {name: _cumsum(values) for name, values in terms.items()}
-        stats = dyn.stats(spec, np.frombuffer(states), sums, np.arange(spec.n + 1))
+        stats = spec.stats(np.frombuffer(states), sums, np.arange(spec.n + 1))
     require_finite(
         {"m": path.m, "qv": path.qv, "pqv": path.pqv}, f"trace of {spec}, replicate {replicate}"
     )

@@ -59,7 +59,9 @@ def _verify_cases() -> list[Case]:
     for check_id, check in CHECKS.items():
         processes = [None, *sorted(PROCESSES)] if check.any_process else [None]
         for process in processes:
-            argv = ["verify", check_id, "--n", "30", "--reps", "2000", "--seed", "3"]
+            # a check that simulates nothing refuses --reps
+            reps = [] if check.process is None else ["--reps", "2000"]
+            argv = ["verify", check_id, "--n", "30", *reps, "--seed", "3"]
             argv += [] if process is None else ["--process", process]
             cases += [Case((*argv, "--format", fmt)) for fmt in ("csv", "json")]
     return cases
@@ -73,6 +75,23 @@ def _refused_process_cases() -> list[Case]:
         if not check.any_process
         for process in sorted(PROCESSES)
         if process != check.process
+    ]
+
+
+def _refused_flag_cases() -> list[Case]:
+    # --reps where nothing is simulated, --x-grid where no tail event is
+    return [
+        Case(("hermite", "--reps", "200")),
+        *(
+            Case(("verify", check_id, "--reps", "200"))
+            for check_id, check in CHECKS.items()
+            if check.process is None
+        ),
+        *(
+            Case(("verify", check_id, "--x-grid", "1,2", "--n", "30"))
+            for check_id, check in CHECKS.items()
+            if check.event is None
+        ),
     ]
 
 
@@ -96,9 +115,18 @@ CASES = [
     # 600 uniform columns take three tiles, the last partial, and 130
     # replicates end 2 into their third group of 64
     Case(("verify", "learn-threshold", "--n", "300", "--reps", "130", "--seed", "3")),
+    # the weighted bound does not apply past sqrt(a d(a)): its column is
+    # empty on that row, and the header is the same in either grid order
+    *(
+        Case(("verify", "ar-estimator", "--n", "30", "--reps", "200", "--x-grid", grid,
+              "--seed", "3", "--format", fmt))
+        for grid in ("100,0.01", "0.01,100")
+        for fmt in ("csv", "json")
+    ),
     *_simulate_cases(),
     # every bad input exits 2 with one error: line
     *_refused_process_cases(),
+    *_refused_flag_cases(),
     Case(("simulate", "idla", "--n", "3", "--seed", "abc")),
     Case(("simulate", "idla", "--n", "3", "--seed", "-1")),
     Case(("simulate", "idla", "--n", "3", "--seed", str(2**63))),

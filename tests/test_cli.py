@@ -224,6 +224,52 @@ def test_process_refused_unless_entry_takes_it(capsys, monkeypatch, check_id, pr
     assert calls == []
 
 
+NO_REPS = "--reps does not apply: this check simulates no process"
+NO_X_GRID = "--x-grid does not apply: this check has no tail event"
+REFUSED_FLAGS = [
+    ["hermite", "--reps", "200"],
+    *(["verify", check_id, "--reps", "200"] for check_id, c in CHECKS.items() if c.process is None),
+    *(["verify", check_id, "--x-grid", "1,2", "--n", "30"]
+      for check_id, c in CHECKS.items() if c.event is None),
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_FLAGS, ids=" ".join)
+def test_flag_refused_unless_entry_reads_it(capsys, monkeypatch, argv):
+    # a per-check flag the entry would ignore exits 2 before simulating
+    calls = []
+    monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err == f"error: {NO_REPS if '--reps' in argv else NO_X_GRID}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_header_lists_every_column_in_either_grid_order(capsys, fmt):
+    # the weighted bound does not apply past sqrt(a d(a)), so the row at 100
+    # has no bound_weighted; the column stays in its place, empty there
+    outs = [
+        run(capsys, "verify", "ar-estimator", "--n", "30", "--reps", "200", "--x-grid", grid,
+            "--seed", "3", "--format", fmt)
+        for grid in ("100,0.01", "0.01,100")
+    ]
+    assert [code for code, _ in outs] == [0, 0]
+    if fmt == "json":
+        rows = [json.loads(out)["rows"] for _, out in outs]
+    else:
+        header = f"x,bound_weighted,bound_gauss-ar,{TAIL_COLUMNS}"
+        assert [out.split("\r\n")[0] for _, out in outs] == [header, header]
+        rows = [csv_rows(out) for _, out in outs]
+    far, near = rows[0]
+    assert rows[1] == [near, far]
+    assert float(far["x"]) == 100.0 and float(near["x"]) == 0.01
+    # JSON leaves the key out; CSV writes an empty cell
+    assert far.get("bound_weighted") == (None if fmt == "json" else "")
+    assert float(near["bound_weighted"]) == 1.0
+
+
 @pytest.mark.parametrize("check_id", ["idla-sqrt", "supermartingale"])
 @pytest.mark.parametrize("reps", ["0", "-5", "99"])
 def test_reps_below_floor_exits_2(capsys, check_id, reps):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfnorm.cli import build_parser, main
+from selfnorm.montecarlo import CHECKS
 
 SUBCOMMANDS = next(
     a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -65,8 +66,10 @@ def argvs(draw):
             argv.append(draw(VALUES.get(flag, st.sampled_from(REALS))))
     if draw(st.integers(0, 4)) == 0:  # one argv in five
         argv += ["--bogus", "2"]
-    if name in ("verify", "hermite") and "--reps" not in argv:
-        # the entries' default reps are sized for real runs
+    simulates = name == "verify" and getattr(CHECKS.get(argv[1]), "process", None)
+    if simulates and "--reps" not in argv:
+        # the entries' default reps are sized for real runs; an entry that
+        # simulates nothing refuses --reps
         argv += ["--reps", "200"]
     if name in ("verify", "simulate") and "--n" not in argv:
         argv += ["--n", "20"]

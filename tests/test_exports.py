@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -37,32 +38,31 @@ def test_package_imports_resolve():
         assert hasattr(selfnorm, name), f"selfnorm does not resolve {name!r}"
 
 
+def _benchmark_hooks() -> dict:
+    """The module attributes that perfbench/trace_cli.py::install reads, as
+    {module: names}: the functions the traced benchmark wraps by name."""
+    source = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
+    tree = ast.parse(source.read_text())
+    install = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    # install binds processes to p
+    modules = {"p": processes, "martingale": martingale, "montecarlo": montecarlo, "cli": cli}
+    hooks = {}
+    for node in ast.walk(install):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                hooks.setdefault(modules[node.value.id], set()).add(node.attr)
+    return hooks
+
+
 def test_benchmark_hooks_exist():
-    # perfbench/trace_cli.py::install wraps these by name; losing one raises
-    # AttributeError in every traced benchmark run
-    hooks = {
-        processes: (
-            "uniform_rows",
-            "trace_to_csv",
-            "simulate",
-            "ar1_finals",
-            "idla_finals",
-            "learning_finals",
-            "ar1_simulate",
-            "idla_simulate",
-            "learning_simulate",
-        ),
-        martingale: ("accumulate",),
-        montecarlo: (
-            "simulate_finals",
-            "event_indicator",
-            "summarize_indicators",
-            "estimate_expectation",
-        ),
-        cli: ("main",),
-    }
+    # install wraps these by name; losing one raises AttributeError in every
+    # traced benchmark run
+    hooks = _benchmark_hooks()
+    assert set(hooks) == {processes, martingale, montecarlo, cli}
     for module, names in hooks.items():
         for name in names:
-            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     trace = processes.simulate(processes.IDLASpec(n=3), seed=1)
     assert isinstance(processes.trace_to_csv(trace), str)

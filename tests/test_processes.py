@@ -282,7 +282,7 @@ class TestIDLA:
         x_prev = finals["x"]
         u = uniform_rows(31, 0, 40_000, k)[:, k - 1]
         # step k of the shipped dynamics, fed the uniforms finals would use
-        x_next = processes._DYNAMICS[IDLASpec].step(IDLASpec(n=k), x_prev, (u,), k)[0]
+        x_next = IDLASpec(n=k).step(x_prev, (u,), k)[0]
         resid = x_next - k / (k + 1) * x_prev
         se = resid.std() / math.sqrt(len(resid))
         assert abs(resid.mean()) <= 3 * se
@@ -384,16 +384,16 @@ def test_steps_read_contiguous_uniforms(process, monkeypatch):
     spec, seed = KERNEL_CASES[process]
     spec = dataclasses.replace(spec, n=spec.n + 3)
     monkeypatch.setattr(processes, "TILE", 8)
-    dyn = processes._DYNAMICS[type(spec)]
+    shipped = type(spec).step
     seen = []
 
     def step(spec, x, u, k):
         seen.append((u.flags.c_contiguous, u.shape))
-        return dyn.step(spec, x, u, k)
+        return shipped(spec, x, u, k)
 
-    monkeypatch.setitem(processes._DYNAMICS, type(spec), dataclasses.replace(dyn, step=step))
+    monkeypatch.setattr(type(spec), "step", step)
     block_finals(spec, seed, 0, 70)
-    assert seen == [(True, (dyn.cols, 70))] * spec.n
+    assert seen == [(True, (spec.cols, 70))] * spec.n
 
 
 def test_finals_memory_does_not_grow_with_horizon():
