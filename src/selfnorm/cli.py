@@ -35,7 +35,12 @@ def parse_real(text: str) -> float:
 
 
 def parse_real_list(text: str) -> list[float]:
-    return [parse_real(part) for part in text.split(",") if part.strip()]
+    """Parse comma-separated reals, skipping empty items; a list with no
+    numbers is refused."""
+    values = [parse_real(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"no numbers in list {text!r}")
+    return values
 
 
 def _default_seed() -> int:
@@ -225,15 +230,16 @@ _JSON_TRACE_ROW = '{\n      "m": %r,\n      "pqv": %r,\n      "qv": %r,\n      "
 
 
 def _trace_json(trace: ProcessTrace, args: argparse.Namespace) -> Iterator[str]:
-    """The JSON document of a trace, with its rows rendered WRITE_ROWS at a time."""
+    """The JSON document of a trace, with its rows rebuilt and rendered
+    WRITE_ROWS at a time."""
     # "rows" sorts after "header", so the placeholder is the document's last value
     placeholder = "ROWS"
     head, _, tail = _dumps(_json_doc([placeholder], args)).rpartition(json.dumps(placeholder))
     yield head
-    path = trace.path
-    for lo in range(0, path.n + 1, WRITE_ROWS):
+    for lo in range(0, trace.spec.n + 1, WRITE_ROWS):
         hi = lo + WRITE_ROWS
-        rows = zip(path.m[lo:hi].tolist(), path.pqv[lo:hi].tolist(), path.qv[lo:hi].tolist(), range(lo, hi))
+        values = trace.columns(lo, hi)
+        rows = zip(values["m"].tolist(), values["pqv"].tolist(), values["qv"].tolist(), range(lo, hi))
         block = ",\n    ".join(_JSON_TRACE_ROW % row for row in rows)
         yield block if lo == 0 else ",\n    " + block
     yield tail
@@ -265,7 +271,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     spec = make_spec(args.process, args)
     trace = simulate(spec, args.seed)
     if args.format == "csv":
-        blocks = range(0, trace.path.n + 1, WRITE_ROWS)
+        blocks = range(0, trace.spec.n + 1, WRITE_ROWS)
         _write((trace_to_csv(trace, lo, lo + WRITE_ROWS) for lo in blocks), args)
     else:
         _write(_trace_json(trace, args), args)

@@ -8,18 +8,23 @@ cond_second_moment, terms)``, where terms are the step's summands of the
 process's statistics, named by ``spec.terms``; ``spec.stats(x, sums, k)``
 forms the statistics after k steps from the state and the running sums of
 the terms, and its keys, in order, are the trace CSV columns after m, qv and
-pqv.  Both use only operators (and ``_clip01`` for the learner's clamp), so
-the same definition works on Python floats or on arrays.  IDLA's step
-compares its uniform against ``IDLASpec.up``, the one definition of its
-up-probability.
+pqv.  Both use only operators (and ``_clip01`` and ``_sqrt`` for the
+learner), so the same definition works on Python floats or on arrays, with
+the same bits.  IDLA's step compares its uniform against ``IDLASpec.up``,
+the one definition of its up-probability.
 
 Two drivers run the steps.  :func:`finals` advances a block of replicates
 and keeps running totals of the increments, their squares, the conditional
 second moments and the terms, and calls ``stats`` once at the horizon.
-:func:`simulate` advances one replicate on floats, records every step, sums
-the records with ``martingale._cumsum``, which adds the same values from 0.0
-in the same order, and calls ``stats`` once on the whole series; so the last
-entry of a trace equals its replicate's finals bit for bit.
+:func:`simulate` advances one replicate on floats and keeps only its state
+path, one float per step.  Each span of ``TILE`` steps is then rebuilt by
+one array ``step`` over its states and the uniforms it was stepped with,
+and ``np.cumsum`` sums the records from the totals carried into the span,
+adding the same values in the same order; so the last entry of a trace
+equals its replicate's finals bit for bit.  That rebuild checks the path and
+keeps the totals at every ``TILE``-th step, and
+:meth:`ProcessTrace.columns` rebuilds any range of rows from those, redrawing
+the whole spans that hold it.
 :func:`simulate` raises ValueError when its path is not finite, and
 ``montecarlo.simulate_finals`` when any statistic of the finals is not.
 
@@ -32,17 +37,18 @@ replicate is an independent stream, and results depend only on (spec, seed,
 replicate), never on how replicates are grouped into blocks; the 64
 replicates sharing a key are adjacent runs, so a block's tile takes one
 generator call per 64 replicates.  :func:`finals` draws its block one tile
-at a time and :func:`simulate` draws its replicate whole; both cut the
-horizon into the same tiles, so their values agree, and memory does not grow
-with the horizon.  A tile is stored replicate-minor (Fortran order), so each
-step of :func:`finals` reads its uniforms as one contiguous vector.
+at a time and :func:`simulate` its replicate ``TILE`` steps at a time; both
+cut the horizon into the same tiles, so their values agree, and a redraw of
+the same tiles is exact.  The uniforms held do not grow with the horizon.  A tile is stored
+replicate-minor (Fortran order), so each step of :func:`finals` reads its
+uniforms as one contiguous vector.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -143,7 +149,9 @@ class IDLASpec:
 
     def step(self, x, u, k):
         x_new = x + (2.0 * (u[0] < self.up(x, k)) - 1.0)
-        return x_new, (k + 1) * x_new - k * x, (k + 1.0) ** 2 - x * x, ()
+        # a product, not ** 2: on a float, ** 2 is libm's pow, which past
+        # 2**53 does not always round as numpy's square of an array does
+        return x_new, (k + 1) * x_new - k * x, (k + 1.0) * (k + 1.0) - x * x, ()
 
     def stats(self, x, sums, k):
         return {"x": x, "l": (x - k) / 2.0, "r": (x + k) / 2.0}
@@ -188,7 +196,7 @@ class LearnSpec:
         pred = u[0] >= c
         loss = 1.0 * (pred != y)
         risk = true_risk(c, self.theta_star, self.eta)
-        c_new = _clip01(c + self.gamma0 / math.sqrt(k) * (1.0 * pred - y))
+        c_new = _clip01(c + self.gamma0 / _sqrt(k) * (1.0 * pred - y))
         return c_new, risk - loss, risk * (1.0 - risk), (loss, risk)
 
     def stats(self, c, sums, k):
@@ -213,22 +221,77 @@ def make_spec(process: str, params) -> ProcessSpec:
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """Full record of a single realization.
+    """One realization, held as its state path.
 
-    ``increments`` and ``cond_second_moments`` are the martingale
-    decomposition; ``path`` is their accumulation; ``stats`` holds the
-    process's statistics at steps 0..n and ``terms`` the step's summands
-    of them at steps 1..n.
+    ``states`` holds the state at steps 0..n, and ``totals[s]`` the running
+    m, qv, pqv and term sums after step min(s * TILE, n).  :meth:`columns`
+    rebuilds any range of rows from these, so a trace costs one float per
+    step.  The full series are filled on first access: ``increments`` and
+    ``cond_second_moments`` are the martingale decomposition, ``path`` is
+    their accumulation, ``stats`` holds the process's statistics at steps
+    0..n and ``terms`` the step's summands of them at steps 1..n.
     """
 
     spec: ProcessSpec
     seed: int
     replicate: int
-    increments: np.ndarray
-    cond_second_moments: np.ndarray
-    path: MartingalePath
-    stats: dict[str, np.ndarray]
-    terms: dict[str, np.ndarray]
+    states: np.ndarray
+    totals: np.ndarray
+
+    def _uniforms(self, k0: int, k1: int) -> np.ndarray:
+        return _step_uniforms(self.spec, self.seed, self.replicate, k0, k1)
+
+    def columns(self, lo: int = 0, hi: int | None = None) -> dict[str, np.ndarray]:
+        """m, qv, pqv and the statistics at steps lo..hi-1, hi defaulting
+        to past the last; a range past the horizon is cut at it.
+
+        The rows are rebuilt from the totals at the last multiple of
+        ``TILE`` at or before lo, through the end of the span that holds
+        hi-1, so a range costs its own length and less than two ``TILE``
+        more.  A draw that ended inside a span would cut its last tile
+        narrower than :func:`simulate` drew it, and a tile's values depend
+        on its width.
+        """
+        n = self.spec.n
+        hi = n + 1 if hi is None else min(hi, n + 1)
+        lo = min(lo, hi)
+        k0 = lo - lo % TILE
+        k1 = min(n, -(-max(k0, hi - 1) // TILE) * TILE)
+        u = self._uniforms(k0, k1)
+        sums = _running(self.spec, self.states, u, k0, self.totals[k0 // TILE])
+        m, qv, pqv, *term_sums = sums[:, lo - k0 : hi - k0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = self.spec.stats(
+                self.states[lo:hi], dict(zip(self.spec.terms, term_sums)), np.arange(lo, hi)
+            )
+        return {"m": m, "qv": qv, "pqv": pqv, **stats}
+
+    @cached_property
+    def _all_records(self) -> tuple:
+        return _records(self.spec, self.states, self._uniforms(0, self.spec.n), 0)
+
+    @cached_property
+    def increments(self) -> np.ndarray:
+        return self._all_records[0]
+
+    @cached_property
+    def cond_second_moments(self) -> np.ndarray:
+        return self._all_records[1]
+
+    @cached_property
+    def terms(self) -> dict[str, np.ndarray]:
+        return dict(zip(self.spec.terms, self._all_records[2:]))
+
+    @cached_property
+    def path(self) -> MartingalePath:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return accumulate(self.increments, self.cond_second_moments)
+
+    @cached_property
+    def stats(self) -> dict[str, np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = {name: _cumsum(values) for name, values in self.terms.items()}
+            return self.spec.stats(self.states, sums, np.arange(self.spec.n + 1))
 
 
 def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0) -> np.ndarray:
@@ -289,11 +352,19 @@ def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0
 def require_finite(arrays: dict[str, np.ndarray], what: str) -> None:
     """Raise ValueError naming each floating array of arrays that holds
     non-finite values, with their count."""
-    counts = {
-        k: int(np.count_nonzero(~np.isfinite(v)))
-        for k, v in arrays.items()
-        if np.issubdtype(v.dtype, np.floating)
-    }
+    _require_counts(
+        {
+            k: int(np.count_nonzero(~np.isfinite(v)))
+            for k, v in arrays.items()
+            if np.issubdtype(v.dtype, np.floating)
+        },
+        what,
+    )
+
+
+def _require_counts(counts: dict[str, int], what: str) -> None:
+    """Raise ValueError naming each key with a nonzero count of non-finite
+    values."""
     bad = ", ".join(f"{k} in {count}" for k, count in counts.items() if count)
     if bad:
         raise ValueError(f"non-finite {what}: {bad}")
@@ -310,6 +381,14 @@ def _clip01(v):
     if isinstance(v, float):
         return min(1.0, max(0.0, v))
     return np.minimum(1.0, np.maximum(0.0, v))
+
+
+def _sqrt(k):
+    # math.sqrt on an int, np.sqrt on an array: both round correctly, so the
+    # same bits either way
+    if isinstance(k, int):
+        return math.sqrt(k)
+    return np.sqrt(k)
 
 
 def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, np.ndarray]:
@@ -344,42 +423,74 @@ def finals(spec: ProcessSpec, seed: int, rep_lo: int, rep_hi: int) -> dict[str, 
     return {"m": m, "qv": qv, "pqv": pqv, **stats}
 
 
-def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
-    """One replicate stepped on floats, with every step recorded.
+def _step_uniforms(spec: ProcessSpec, seed: int, replicate: int, k0: int, k1: int) -> np.ndarray:
+    """The uniforms of steps k0+1..k1 of a replicate, one row per step; k0
+    is a multiple of ``TILE``."""
+    u = uniform_rows(seed, replicate, replicate + 1, (k1 - k0) * spec.cols, k0 * spec.cols)
+    return u.reshape(k1 - k0, spec.cols)
 
-    Raises ValueError when the path's m, qv or pqv is not finite.
+
+def _records(spec: ProcessSpec, states: np.ndarray, u: np.ndarray, k0: int) -> tuple:
+    """The increments, conditional second moments and terms of steps
+    k0+1..k0+len(u), from one array step on the states before them and
+    their uniforms u, one row per step."""
+    k1 = k0 + len(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # u.T[j] holds uniform j of every step
+        _, inc, csm, terms = spec.step(states[k0:k1], u.T, np.arange(k0 + 1, k1 + 1))
+    return inc, csm, *terms
+
+
+def _running(spec: ProcessSpec, states: np.ndarray, u: np.ndarray, k0: int, carry) -> np.ndarray:
+    """Running m, qv, pqv and term sums after steps k0..k0+len(u), one
+    column per step, continuing from carry, their values after step k0.
+
+    np.cumsum adds left to right from carry, in the order in which
+    :func:`finals` adds the same values to its running totals.
+    """
+    inc, csm, *terms = _records(spec, states, u, k0)
+    if np.any(csm < 0.0):
+        raise ValueError("conditional second moments must be nonnegative")
+    table = np.empty((len(carry), len(u) + 1))
+    table[:, 0] = carry
+    with np.errstate(over="ignore", invalid="ignore"):
+        table[:, 1:] = (inc, inc * inc, csm, *terms)
+        return np.cumsum(table, axis=1, out=table)
+
+
+def simulate(spec: ProcessSpec, seed: int, replicate: int = 0) -> ProcessTrace:
+    """One replicate stepped on floats, keeping only its state path and its
+    running totals at every ``TILE``-th step.
+
+    Raises ValueError when the path's m, qv or pqv is not finite, before
+    any row is rendered.
     """
     # looked up once for the n float steps below
-    step, cols = spec.step, spec.cols
-    # a memoryview hands out floats one at a time, and the array('d') records
-    # hold raw doubles, so no step keeps a Python object alive
-    u = memoryview(uniform_rows(seed, replicate, replicate + 1, spec.n * cols)[0])
-    x = spec.x0
-    states, records = array("d", [x]), array("d")
-    for k in range(1, spec.n + 1):
-        x, inc, csm, terms = step(x, u[(k - 1) * cols : k * cols], k)
-        states.append(x)
-        records.extend((inc, csm, *terms))
-    inc, csm, *term_series = np.frombuffer(records).reshape(spec.n, -1).T
-    terms = dict(zip(spec.terms, term_series))
-    # an overflow turns the path non-finite, which is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        path = accumulate(inc, csm)
-        sums = {name: _cumsum(values) for name, values in terms.items()}
-        stats = spec.stats(np.frombuffer(states), sums, np.arange(spec.n + 1))
-    require_finite(
-        {"m": path.m, "qv": path.qv, "pqv": path.pqv}, f"trace of {spec}, replicate {replicate}"
+    step, n = spec.step, spec.n
+    # allocated whole first, so a horizon too long for memory fails at once
+    states = np.empty(n + 1)
+    states[0] = x = spec.x0
+    totals = np.empty((-(-n // TILE) + 1, 3 + len(spec.terms)))
+    totals[0] = 0.0
+    nonfinite = np.zeros(3, dtype=np.int64)
+    for s, k0 in enumerate(range(0, n, TILE)):
+        k1 = min(k0 + TILE, n)
+        u = _step_uniforms(spec, seed, replicate, k0, k1)
+        xs = []
+        # each step's uniforms as a list of Python floats
+        for k, u_k in enumerate(u.tolist(), k0 + 1):
+            x = step(x, u_k, k)[0]
+            xs.append(x)
+        states[k0 + 1 : k1 + 1] = xs
+        # the span's records from the same uniforms, which checks the path
+        sums = _running(spec, states, u, k0, totals[s])
+        nonfinite += np.count_nonzero(~np.isfinite(sums[:3, 1:]), axis=1)
+        totals[s + 1] = sums[:, -1]
+    _require_counts(
+        dict(zip(("m", "qv", "pqv"), nonfinite.tolist())),
+        f"trace of {spec}, replicate {replicate}",
     )
-    return ProcessTrace(
-        spec=spec,
-        seed=seed,
-        replicate=replicate,
-        increments=inc,
-        cond_second_moments=csm,
-        path=path,
-        stats=stats,
-        terms=terms,
-    )
+    return ProcessTrace(spec=spec, seed=seed, replicate=replicate, states=states, totals=totals)
 
 
 # Per-process names of the two drivers; each accepts any spec.
@@ -402,12 +513,11 @@ def trace_to_csv(trace: ProcessTrace, lo: int = 0, hi: int | None = None) -> str
     Joining the renderings of consecutive ranges gives the whole document,
     so a caller can write a long trace one block of rows at a time.
     """
-    hi = trace.path.n + 1 if hi is None else hi
-    series = (trace.path.m, trace.path.qv, trace.path.pqv, *trace.stats.values())
+    columns = trace.columns(lo, hi)
     # each column goes to Python floats once; repr is the shortest round trip
-    cells = [map(repr, values[lo:hi].tolist()) for values in series]
-    lines = list(map(",".join, zip(map(str, range(lo, hi)), *cells)))
+    cells = [map(repr, values.tolist()) for values in columns.values()]
+    lines = list(map(",".join, zip(map(str, range(lo, trace.spec.n + 1)), *cells)))
     if lo == 0:
-        lines.insert(0, "step,m,qv,pqv," + ",".join(trace.stats))
+        lines.insert(0, "step," + ",".join(columns))
     # every line ends in CRLF; an empty range renders as ""
     return "\r\n".join(lines + [""])

@@ -96,12 +96,14 @@ def _refused_flag_cases() -> list[Case]:
 
 
 def _simulate_cases() -> list[Case]:
-    # n crosses the stream's tiles (TILE) and the CLI's write blocks
+    # n crosses the stream's tiles (TILE) and the CLI's write blocks, and
+    # 2 * WRITE_ROWS + 1 takes three blocks, the last of one row
     write = cli.WRITE_ROWS
+    ns = {1, TILE - 1, TILE, TILE + 1, write - 1, write, write + 1, 2 * write + 1}
     return [
         Case(("simulate", process, "--n", str(n), "--seed", "3", "--format", fmt))
         for process in sorted(PROCESSES)
-        for n in sorted({1, TILE - 1, TILE, TILE + 1, write - 1, write, write + 1})
+        for n in sorted(ns)
         for fmt in ("csv", "json")
     ]
 
@@ -137,7 +139,19 @@ CASES = [
     Case(("simulate", "idla", "--n", "3"), config={"format": "xml"}),
     Case(("weights",), config={"table1": "yes"}),
     Case(("verify", "ar-estimator", "--theta", "3", "--n", "1000", "--reps", "200")),
+    # an explosive path overflows: the error counts the non-finite entries
+    # of each whole column, in either format
+    *(
+        Case(("simulate", "ar1", "--theta", "3", "--n", "1000", "--seed", "3", "--format", fmt))
+        for fmt in ("csv", "json")
+    ),
     Case(("simulate", "ar1", "--n", str(10**15))),
+    # a list with no numbers is refused, not read as empty or as the default
+    Case(("hermite", "--a-grid", ",")),
+    Case(("verify", "hermite", "--a-grid", ",")),
+    Case(("verify", "idla-sqrt", "--x-grid", ",")),
+    Case(("learning-table", "--r-grid", ",")),
+    Case(("weights", "--a", ",")),
 ]
 
 

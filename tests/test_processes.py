@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from selfnorm import processes
 from selfnorm.bounds import weight_c
@@ -416,6 +418,88 @@ def test_finals_memory_does_not_grow_with_horizon():
     assert peaks[1] <= peaks[0] + 1_000_000
 
 
+@pytest.mark.parametrize("process", sorted(KERNEL_CASES))
+def test_trace_memory_is_one_float_per_step(process):
+    # a trace keeps its state path, 8 B per step, and rebuilds each block of
+    # rows from it; the slack holds its totals (a few floats per TILE steps)
+    # and a later block's longer numbers.  Keeping one more full-length
+    # series would add 197 kB from n to 4n here
+    spec, seed = KERNEL_CASES[process]
+    n = 32 * processes.TILE
+    block = 4 * processes.TILE
+
+    def simulate_and_render(n):
+        trace = simulate(dataclasses.replace(spec, n=n), seed)
+        for lo in range(0, n + 1, block):
+            trace_to_csv(trace, lo, lo + block)
+
+    simulate_and_render(n)  # one-time allocations stay out of the peaks
+    peaks = []
+    for horizon in (n, 4 * n):
+        tracemalloc.start()
+        try:
+            simulate_and_render(horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * 3 * n + 64_000
+
+
+def bitwise_equal(floats, arrays):
+    """Each float result equals the one entry of the matching array result,
+    bit for bit."""
+    scalars, vectors = [*floats[:3], *floats[3]], [*arrays[:3], *arrays[3]]
+    return [np.float64(v).tobytes() for v in scalars] == [v.tobytes() for v in vectors]
+
+
+def step_both_ways(spec, x, u, k):
+    """spec.step on floats, and on arrays of one entry each."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = spec.step(np.array([x]), np.array(u)[:, None], np.array([k]))
+    return spec.step(x, u, k), arrays
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+# past 2**53, int to float conversion rounds, on both paths alike
+step_index = st.integers(min_value=1, max_value=2**62)
+
+
+class TestStepOnFloatsEqualsStepOnArrays:
+    """simulate steps on floats and rebuilds its rows with one array step per
+    span, so the two must agree bit for bit; so must finals, which steps
+    arrays with an int k."""
+
+    @given(
+        p=st.floats(min_value=1e-6, max_value=0.5),
+        theta=st.floats(min_value=-1e3, max_value=1e3),
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        u=unit,
+    )
+    def test_ar1(self, p, theta, x, u):
+        spec = AR1Spec(p=p, theta=theta, n=1)
+        assert bitwise_equal(*step_both_ways(spec, x, [u], 1))
+
+    @given(k=step_index, frac=unit, u=unit)
+    # libm's pow rounds 122457479.0 ** 2 one ulp off the product
+    @example(k=122457478, frac=0.5, u=0.5)
+    def test_idla(self, k, frac, u):
+        x = float(round((2.0 * frac - 1.0) * (k - 1)))  # on the support |x| < k
+        assert bitwise_equal(*step_both_ways(IDLASpec(n=1), x, [u], k))
+
+    @given(
+        theta_star=unit,
+        eta=st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+        gamma0=st.floats(min_value=1e-3, max_value=1e3),
+        c=unit,
+        u=st.tuples(unit, unit),
+        k=step_index,
+    )
+    @example(theta_star=0.5, eta=0.1, gamma0=0.5, c=0.5, u=(0.0, 0.0), k=2**53 + 1)
+    def test_learn(self, theta_star, eta, gamma0, c, u, k):
+        spec = LearnSpec(theta_star=theta_star, eta=eta, gamma0=gamma0, c0=0.0, n=1)
+        assert bitwise_equal(*step_both_ways(spec, c, list(u), k))
+
+
 def test_trace_csv_shape():
     trace = idla_simulate(IDLASpec(n=4), seed=1)
     text = trace_to_csv(trace)
@@ -423,6 +507,16 @@ def test_trace_csv_shape():
     assert lines[0] == "step,m,qv,pqv,x,l,r"
     assert len(lines) == 6
     assert text.endswith("\r\n")
+
+
+def whole_series_rows(trace):
+    """The CSV header and each row as repr of each value, from the trace's
+    whole series."""
+    header = trace_to_csv(trace, 0, 0).removesuffix("\r\n")
+    _, *cols = header.split(",")
+    series = [trace.stats[c] if c in trace.stats else getattr(trace.path, c) for c in cols]
+    rows = [",".join([str(k)] + [repr(float(v[k])) for v in series]) for k in range(trace.path.n + 1)]
+    return header, rows
 
 
 @pytest.mark.parametrize("tile", [1, 7, None])
@@ -434,14 +528,31 @@ def test_trace_csv_blocks_join_to_whole(process, tile, monkeypatch):
     # the horizon ends inside a block whatever the tile
     trace = simulate(dataclasses.replace(spec, n=2 * processes.TILE + 3), seed=seed)
     whole = trace_to_csv(trace)
-    # each row as repr of each value, in the header's column order
-    header, _ = whole.split("\r\n", 1)
-    step, *cols = header.split(",")
-    series = [trace.stats[c] if c in trace.stats else getattr(trace.path, c) for c in cols]
-    rows = [",".join([str(k)] + [repr(float(v[k])) for v in series]) for k in range(trace.path.n + 1)]
-    assert (step, *cols[:3]) == ("step", "m", "qv", "pqv")
+    header, rows = whole_series_rows(trace)
+    assert header.split(",")[:4] == ["step", "m", "qv", "pqv"]
     assert whole == "\r\n".join([header, *rows, ""])
     blocks = range(0, trace.path.n + 1, processes.TILE)
     assert "".join(trace_to_csv(trace, lo, lo + processes.TILE) for lo in blocks) == whole
     assert trace_to_csv(trace, 0, 1).count("\r\n") == 2  # the header and step 0
+    lo, hi = processes.TILE + 1, 2 * processes.TILE + 2  # a range off the tiles
+    assert trace_to_csv(trace, lo, hi) == "\r\n".join(rows[lo:hi] + [""])
     assert trace_to_csv(trace, 3, 3) == ""
+
+
+@pytest.mark.parametrize("tile", [7, None])
+@pytest.mark.parametrize("replicate", [1, 65])
+@pytest.mark.parametrize("process", sorted(KERNEL_CASES))
+def test_trace_rows_of_any_range_match_whole_series(process, replicate, tile, monkeypatch):
+    # past replicate 0 of a key's group, a tile's values depend on its
+    # width, so a range that ends inside a span must still be rebuilt from
+    # the span's whole tiles
+    if tile:
+        monkeypatch.setattr(processes, "TILE", tile)
+    T = processes.TILE
+    spec, seed = KERNEL_CASES[process]
+    trace = simulate(dataclasses.replace(spec, n=2 * T + 3), seed=seed, replicate=replicate)
+    header, rows = whole_series_rows(trace)
+    ranges = [(0, 100), (1, T // 2 + 2), (T, T + 1), (T + 1, T + 50), (T - 1, 2 * T - 2), (2 * T + 1, 3 * T)]
+    for lo, hi in ranges:
+        lines = [header] * (lo == 0) + rows[lo:hi]
+        assert trace_to_csv(trace, lo, hi) == "\r\n".join(lines + [""]), (lo, hi)
