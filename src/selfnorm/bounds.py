@@ -82,9 +82,11 @@ def weight_c(a: float) -> float:
 
 
 def weight_b(a: float) -> float:
-    """Companion weight b(a) = a * c(a); always > 1/2."""
-    # b(a) - 1/2 is about 1/(32 a^2), below half an ulp of 1/2 from a ~ 2.4e7
-    # on, where the rounded quotient could land under 1/2; 1/2 is nearer
+    """Companion weight b(a) = a * c(a), which exceeds 1/2 by about
+    1/(32 a^2).  From a ~ 2e7 on that excess is below the rounding of the
+    quotient, and the result is 1/2 or a few ulps above it."""
+    # the excess is below half an ulp of 1/2 from a ~ 2.4e7 on, where the
+    # rounded quotient could land under 1/2; 1/2 is nearer
     return max(0.5, 2.0 * a * _weight_factor(a) / (8.0 * a - 1.0))
 
 
@@ -167,9 +169,14 @@ def _gauss_ar_root(x: float) -> float:
     """Unique positive root of (1+y)log(1+y) - y = x^2.
 
     Bracketing bisection refined by Newton; h is strictly increasing on
-    (0, inf) so the bracket is safe.
+    (0, inf) so the bracket is safe.  The solve stops when h(y) is within
+    1e-12 of x^2, or when no float is left strictly inside the bracket,
+    which is all float spacing allows once x^2 is large.  The bracket
+    starts at 2x^2, so x must keep that finite (else ValueError).
     """
     target = x * x
+    if not math.isfinite(2.0 * target):
+        raise ValueError(f"x is too large for the Gaussian AR baseline, got {x}")
     h = lambda y: (1.0 + y) * math.log1p(y) - y
     lo, hi = 0.0, max(2.0 * target, 4.0 * x)
     while h(hi) < target:
@@ -186,6 +193,9 @@ def _gauss_ar_root(x: float) -> float:
         # Newton step, falling back to bisection when it leaves the bracket
         step = y - val / math.log1p(y) if y > 0.0 else 0.5 * (lo + hi)
         y = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < y < hi:
+            # the bracket holds two adjacent floats; y is one of them
+            return y
     raise RuntimeError("root solve for the Gaussian AR baseline did not converge")
 
 

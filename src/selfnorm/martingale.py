@@ -2,9 +2,11 @@
 
 A :class:`MartingalePath` carries the cumulative martingale values together
 with the total and predictable quadratic variation traces of a single
-realization.  The weighted normalization and the exponential supermartingale
-weight are written with operators only, so one definition takes the values of
-a path at one step as floats or the finals of many replicates as arrays.
+realization; :func:`accumulate` builds one from per-step increments and
+conditional second moments.  The weighted normalization and the exponential
+supermartingale weight are written with operators only, so one definition
+takes the values of a path at one step as floats or the finals of many
+replicates as arrays.
 """
 
 from __future__ import annotations
@@ -16,15 +18,6 @@ import numpy as np
 from .bounds import weight_b, weight_c
 
 __all__ = ["MartingalePath", "accumulate", "s_weighted", "supermartingale_weight"]
-
-
-def _cumsum(values: np.ndarray) -> np.ndarray:
-    """Running sum of values, prepended with 0.
-
-    np.cumsum adds strictly left to right, the order in which the block
-    driver adds the same values to its running totals.
-    """
-    return np.cumsum(np.concatenate(([0.0], values)))
 
 
 @dataclass(frozen=True)
@@ -61,11 +54,12 @@ def accumulate(increments, cond_second_moments) -> MartingalePath:
         raise ValueError("increments and cond_second_moments must have equal length")
     if np.any(csm < 0.0):
         raise ValueError("conditional second moments must be nonnegative")
-    return MartingalePath(
-        m=_cumsum(inc),
-        qv=_cumsum(inc * inc),
-        pqv=_cumsum(csm),
-    )
+    table = np.zeros((3, len(inc) + 1))
+    table[:, 1:] = (inc, inc * inc, csm)
+    # np.cumsum adds strictly left to right, the order in which the drivers
+    # add the same values to their running totals
+    m, qv, pqv = np.cumsum(table, axis=1, out=table)
+    return MartingalePath(m=m, qv=qv, pqv=pqv)
 
 
 def s_weighted(qv, pqv, a: float):

@@ -118,8 +118,14 @@ def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, n
 
 
 def event_indicator(event: Callable, run, x: float) -> np.ndarray:
-    """Per-replicate indicator of a check's event at level x, from run's finals."""
-    return event(run, x)
+    """Per-replicate indicator of a check's event at level x, from run's finals.
+
+    A threshold scaled by a huge x may overflow to inf, which a finite
+    statistic never reaches, so the indicator stays exact and the overflow
+    is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return event(run, x)
 
 
 def estimate_expectation(values: np.ndarray) -> ExpectationEstimate:
@@ -242,16 +248,23 @@ def _hermite_row(run, a: float) -> dict:
     x_steps = getattr(run, "x_steps", HERMITE_X_STEPS)
     if x_steps < 2:
         raise ValueError(f"x-steps must be at least 2, got {x_steps}")
+    b = bounds.weight_b(a)
+    # pab_discriminant takes only b > 1/2
+    if not b > 0.5:
+        raise ValueError(f"a is too large for the hermite check: b(a) rounds to 1/2 at a = {a}")
     xs = np.linspace(-x_max, x_max, x_steps)
     margin = bounds.hermite_margin(xs, a)
-    disc = bounds.pab_discriminant(a, bounds.weight_b(a))
+    disc = bounds.pab_discriminant(a, b)
+    # the discriminant is 0 at b(a) up to the rounding of its terms, which
+    # grow like a^2; this sums their absolute values
+    disc_scale = (2.0 * a + b) ** 2 / 4.0 + 2.0 * a * b * (a + b + 1.0)
     min_margin = float(margin.min())
     return {
         "a": a,
         "min_margin": min_margin,
         "argmin_x": float(xs[int(margin.argmin())]),
         "discriminant_at_b": disc,
-        "satisfied": min_margin >= -1e-12 and abs(disc) <= 1e-10,
+        "satisfied": min_margin >= -1e-12 and abs(disc) <= 1e-12 * disc_scale,
     }
 
 

@@ -22,9 +22,9 @@ one array ``step`` over its states and the uniforms it was stepped with,
 and ``np.cumsum`` sums the records from the totals carried into the span,
 adding the same values in the same order; so the last entry of a trace
 equals its replicate's finals bit for bit.  That rebuild checks the path and
-keeps the totals at every ``TILE``-th step, and
-:meth:`ProcessTrace.columns` rebuilds any range of rows from those, redrawing
-the whole spans that hold it.
+keeps the totals at every ``TILE``-th step.  :meth:`ProcessTrace.columns`,
+the one reader of a trace's rows, rebuilds any range of them from those,
+redrawing the whole spans that hold it.
 :func:`simulate` raises ValueError when its path is not finite, and
 ``montecarlo.simulate_finals`` when any statistic of the finals is not.
 
@@ -39,21 +39,18 @@ replicates sharing a key are adjacent runs, so a block's tile takes one
 generator call per 64 replicates.  :func:`finals` draws its block one tile
 at a time and :func:`simulate` its replicate ``TILE`` steps at a time; both
 cut the horizon into the same tiles, so their values agree, and a redraw of
-the same tiles is exact.  The uniforms held do not grow with the horizon.  A tile is stored
-replicate-minor (Fortran order), so each step of :func:`finals` reads its
-uniforms as one contiguous vector.
+the same tiles is exact.  The uniforms held do not grow with the horizon.
+A tile is stored replicate-minor (Fortran order), so each step of
+:func:`finals` reads its uniforms as one contiguous vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-
-from .martingale import MartingalePath, _cumsum, accumulate
 
 # Uniform columns per tile, a multiple of 4 and of every process's uniforms
 # per step.  Part of the stream definition (see uniform_rows); it bounds the
@@ -225,11 +222,8 @@ class ProcessTrace:
 
     ``states`` holds the state at steps 0..n, and ``totals[s]`` the running
     m, qv, pqv and term sums after step min(s * TILE, n).  :meth:`columns`
-    rebuilds any range of rows from these, so a trace costs one float per
-    step.  The full series are filled on first access: ``increments`` and
-    ``cond_second_moments`` are the martingale decomposition, ``path`` is
-    their accumulation, ``stats`` holds the process's statistics at steps
-    0..n and ``terms`` the step's summands of them at steps 1..n.
+    rebuilds any range of rows from these, and is the one reader of a
+    trace's rows, so a trace costs one float per step.
     """
 
     spec: ProcessSpec
@@ -237,9 +231,6 @@ class ProcessTrace:
     replicate: int
     states: np.ndarray
     totals: np.ndarray
-
-    def _uniforms(self, k0: int, k1: int) -> np.ndarray:
-        return _step_uniforms(self.spec, self.seed, self.replicate, k0, k1)
 
     def columns(self, lo: int = 0, hi: int | None = None) -> dict[str, np.ndarray]:
         """m, qv, pqv and the statistics at steps lo..hi-1, hi defaulting
@@ -257,7 +248,7 @@ class ProcessTrace:
         lo = min(lo, hi)
         k0 = lo - lo % TILE
         k1 = min(n, -(-max(k0, hi - 1) // TILE) * TILE)
-        u = self._uniforms(k0, k1)
+        u = _step_uniforms(self.spec, self.seed, self.replicate, k0, k1)
         sums = _running(self.spec, self.states, u, k0, self.totals[k0 // TILE])
         m, qv, pqv, *term_sums = sums[:, lo - k0 : hi - k0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -265,33 +256,6 @@ class ProcessTrace:
                 self.states[lo:hi], dict(zip(self.spec.terms, term_sums)), np.arange(lo, hi)
             )
         return {"m": m, "qv": qv, "pqv": pqv, **stats}
-
-    @cached_property
-    def _all_records(self) -> tuple:
-        return _records(self.spec, self.states, self._uniforms(0, self.spec.n), 0)
-
-    @cached_property
-    def increments(self) -> np.ndarray:
-        return self._all_records[0]
-
-    @cached_property
-    def cond_second_moments(self) -> np.ndarray:
-        return self._all_records[1]
-
-    @cached_property
-    def terms(self) -> dict[str, np.ndarray]:
-        return dict(zip(self.spec.terms, self._all_records[2:]))
-
-    @cached_property
-    def path(self) -> MartingalePath:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return accumulate(self.increments, self.cond_second_moments)
-
-    @cached_property
-    def stats(self) -> dict[str, np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = {name: _cumsum(values) for name, values in self.terms.items()}
-            return self.spec.stats(self.states, sums, np.arange(self.spec.n + 1))
 
 
 def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0) -> np.ndarray:
@@ -430,30 +394,23 @@ def _step_uniforms(spec: ProcessSpec, seed: int, replicate: int, k0: int, k1: in
     return u.reshape(k1 - k0, spec.cols)
 
 
-def _records(spec: ProcessSpec, states: np.ndarray, u: np.ndarray, k0: int) -> tuple:
-    """The increments, conditional second moments and terms of steps
-    k0+1..k0+len(u), from one array step on the states before them and
-    their uniforms u, one row per step."""
-    k1 = k0 + len(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # u.T[j] holds uniform j of every step
-        _, inc, csm, terms = spec.step(states[k0:k1], u.T, np.arange(k0 + 1, k1 + 1))
-    return inc, csm, *terms
-
-
 def _running(spec: ProcessSpec, states: np.ndarray, u: np.ndarray, k0: int, carry) -> np.ndarray:
     """Running m, qv, pqv and term sums after steps k0..k0+len(u), one
     column per step, continuing from carry, their values after step k0.
 
-    np.cumsum adds left to right from carry, in the order in which
+    The records of steps k0+1..k0+len(u) come from one array step on the
+    states before them and their uniforms u, one row per step; np.cumsum
+    adds them left to right from carry, in the order in which
     :func:`finals` adds the same values to its running totals.
     """
-    inc, csm, *terms = _records(spec, states, u, k0)
-    if np.any(csm < 0.0):
-        raise ValueError("conditional second moments must be nonnegative")
+    k1 = k0 + len(u)
     table = np.empty((len(carry), len(u) + 1))
     table[:, 0] = carry
     with np.errstate(over="ignore", invalid="ignore"):
+        # u.T[j] holds uniform j of every step
+        _, inc, csm, terms = spec.step(states[k0:k1], u.T, np.arange(k0 + 1, k1 + 1))
+        if np.any(csm < 0.0):
+            raise ValueError("conditional second moments must be nonnegative")
         table[:, 1:] = (inc, inc * inc, csm, *terms)
         return np.cumsum(table, axis=1, out=table)
 

@@ -152,6 +152,13 @@ CASES = [
     Case(("verify", "idla-sqrt", "--x-grid", ",")),
     Case(("learning-table", "--r-grid", ",")),
     Case(("weights", "--a", ",")),
+    # levels at the edge of the floats: the Gaussian AR root past the
+    # spacing of x^2, a discriminant of order a^2, b(a) rounded to 1/2, and
+    # thresholds that overflow to inf
+    Case(("verify", "ar-estimator", "--x-grid", "91", "--n", "30", "--reps", "200", "--seed", "3")),
+    Case(("verify", "hermite", "--a-grid", "1000")),
+    Case(("hermite", "--a-grid", "1e8")),
+    Case(("verify", "ratio-tail", "--x-grid", "1e308", "--n", "30", "--reps", "200", "--seed", "3")),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -219,6 +220,37 @@ class TestBaselines:
         assert yx <= 2 * 0.4
         expected = min(1.0, 2 * math.exp(-100 * 0.16 / (2 * (1 + yx))))
         assert gauss_ar_bound(0.4, 100) == pytest.approx(expected, rel=1e-9)
+
+    def test_gauss_ar_root_matches_mpmath(self):
+        # Newton in 50 digits from above the root, where the convex h makes
+        # it decrease monotonically onto the exact root; the float solve
+        # must stop within 1e-12 of it wherever x^2 outgrows the spacing
+        # of floats near it (first at x = 91), up to where 2 x^2 overflows
+        mpmath = pytest.importorskip("mpmath")
+
+        def root(x):
+            with mpmath.workdps(50):
+                target, y = mpmath.mpf(x) ** 2, mpmath.mpf(max(2 * x * x, 4 * x, 1.0))
+                for _ in range(500):
+                    step = ((1 + y) * mpmath.log1p(y) - y - target) / mpmath.log1p(y)
+                    y -= step
+                    if abs(step) <= mpmath.mpf(10) ** -40 * y:
+                        return float(y)
+            raise AssertionError(f"no reference root at x = {x}")
+
+        xs = [*np.linspace(0.01, 2000.0, 401), *np.geomspace(0.01, 9.4e153, 201), 91.0, 1e10]
+        for x in map(float, xs):
+            assert bounds._gauss_ar_root(x) == pytest.approx(root(x), rel=1e-12, abs=0.0), x
+
+    def test_gauss_ar_bound_never_raises_below_overflow(self):
+        for x in np.linspace(0.01, 2000.0, 4000):
+            assert 0.0 <= gauss_ar_bound(float(x), 10) <= 1.0
+        assert gauss_ar_bound(9.4e153, 10) == 0.0
+        # the solve brackets the root with 2 x^2
+        for x in (9.5e153, 1.34e154, 1e300):
+            message = re.escape(f"too large for the Gaussian AR baseline, got {x}")
+            with pytest.raises(ValueError, match=message):
+                gauss_ar_bound(x, 10)
 
     def test_gauss_ar_linear_bound_small_x(self):
         # y_x <= 2x whenever 0 < x < 1/2

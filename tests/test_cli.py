@@ -96,6 +96,20 @@ class TestHermite:
         assert hermite == run(capsys, "verify", "hermite")
         assert hermite[0] == 0 and len(csv_rows(hermite[1])) == 7
 
+    def test_discriminant_tolerance_scales_with_a(self, capsys):
+        # the discriminant at b(a) rounds to -1.16e-10 at a = 1000, where
+        # its terms are of order 1e6: rounding, not a violation
+        code, out = run(capsys, "verify", "hermite", "--a-grid", "516.54,1000,5000,1e7")
+        assert code == 0
+        assert [r["satisfied"] for r in csv_rows(out)] == ["True"] * 4
+
+    @pytest.mark.parametrize("command", ["hermite", "verify hermite"])
+    def test_b_rounded_to_half_names_a(self, capsys, command):
+        code = main([*command.split(), "--a-grid", "1e8"])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert "b(a) rounds to 1/2 at a = 100000000.0" in captured.err
+
     @pytest.mark.parametrize("steps", ["0", "1"])
     def test_too_few_x_steps(self, capsys, steps):
         code = main(["hermite", "--x-steps", steps])
@@ -147,6 +161,32 @@ class TestVerify:
     def test_unknown_id_exits_2(self, capsys):
         code, _ = run(capsys, "verify", "no-such-inequality")
         assert code == 2
+
+    @pytest.mark.parametrize("x", ["91", "1e10"])
+    def test_gauss_ar_root_past_float_spacing(self, capsys, x):
+        # from x = 91 on, floats near x^2 are spaced wider than 1e-12, so
+        # h(y) - x^2 may never get that small
+        argv = ["verify", "ar-estimator", "--x-grid", x, "--n", "10", "--reps", "200"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert float(csv_rows(captured.out)[0]["bound_gauss-ar"]) < 1e-13
+
+    def test_gauss_ar_overflow_names_x(self, capsys):
+        code = main(["verify", "ar-estimator", "--x-grid", "1e154", "--n", "10", "--reps", "200"])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert "got 1e+154" in captured.err
+
+    @pytest.mark.parametrize("check_id", ["ratio-tail", "pqv-ratio", "missing-factor"])
+    def test_threshold_overflow_is_silent(self, capsys, check_id):
+        # x * S_n(a) overflows to inf, which no finite |M_n| reaches: the
+        # event is exactly false, and no warning reaches stderr
+        argv = ["verify", check_id, "--x-grid", "1e308", "--n", "30", "--reps", "200"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert csv_rows(captured.out)[0]["p_hat"] == "0.0"
 
 
 TAIL_COLUMNS = "p_hat,ci_lo,ci_hi,n_samples,satisfied"
@@ -592,9 +632,9 @@ class TestSimulateStreaming:
         argv = ["simulate", process, "--n", "9", "--seed", "2", "--format", "json"]
         code, out = run(capsys, *argv)
         assert code == 0
-        path = simulate(make_spec(process, cli._parse_args(argv)), 2).path
+        columns = simulate(make_spec(process, cli._parse_args(argv)), 2).columns()
         rows = [
-            {"step": k, "m": float(path.m[k]), "qv": float(path.qv[k]), "pqv": float(path.pqv[k])}
+            {"step": k, **{key: float(columns[key][k]) for key in ("m", "qv", "pqv")}}
             for k in range(10)
         ]
         header = json.loads(out)["header"]

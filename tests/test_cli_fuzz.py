@@ -27,7 +27,7 @@ SKIPPED = {"-h", "--help", "--out", "--config"}
 
 REALS = ["0", "0.05", "0.1", "1/3", "0.5", "9/16", "0.9", "1", "2", "10", "-1", "1e300",
          "1e308", "1e400", "abc", "1/0", ""]
-LISTS = ["1/3", "1/3,9/16", "0.5,1,2", "0.01", "1/3,abc", ",", ""]
+LISTS = ["1/3", "1/3,9/16", "0.5,1,2", "0.01", "91", "1e308", "1/3,abc", ",", ""]
 
 
 def ints(lo, hi, bad):
@@ -42,7 +42,7 @@ VALUES = {
     "--x-steps": ints(1, 2000, ["0", "1", "2", "-1", "x"]),
     "--format": st.sampled_from(["csv", "json", "xml"]),
     "--process": st.sampled_from(["ar1", "idla", "learn", "xyz"]),
-    "--a-grid": st.sampled_from(["default", *LISTS]),
+    "--a-grid": st.sampled_from(["default", "1000", *LISTS]),
     "--x-grid": st.sampled_from(LISTS),
     "--r-grid": st.sampled_from(LISTS),
 }

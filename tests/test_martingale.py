@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from selfnorm.bounds import hermite_margin
 from selfnorm.martingale import MartingalePath, accumulate, s_weighted, supermartingale_weight
 from selfnorm.processes import IDLASpec, idla_simulate
+from test_processes import step_records
 
 
 def test_empty_accumulate():
@@ -140,14 +141,15 @@ def test_array_forms_equal_float_forms():
 def test_idla_trace_pqv_identity():
     # pqv[3] = sum_{k=1..3} (k+1)^2 - X_{k-1}^2 for the simulated trace
     trace = idla_simulate(IDLASpec(n=3), seed=5)
-    xs = trace.stats["x"]
+    xs = trace.states
     expected = sum((k + 1) ** 2 - xs[k - 1] ** 2 for k in range(1, 4))
-    assert trace.path.pqv[3] == pytest.approx(expected, abs=1e-12)
+    assert trace.columns()["pqv"][3] == pytest.approx(expected, abs=1e-12)
 
 
 def test_accumulate_reproduces_trace_arrays():
     trace = idla_simulate(IDLASpec(n=50), seed=9)
-    rebuilt = accumulate(trace.increments, trace.cond_second_moments)
-    assert np.array_equal(rebuilt.m, trace.path.m)
-    assert np.array_equal(rebuilt.qv, trace.path.qv)
-    assert np.array_equal(rebuilt.pqv, trace.path.pqv)
+    _, inc, csm, _ = step_records(trace)
+    rebuilt = accumulate(inc, csm)
+    columns = trace.columns()
+    for key in ("m", "qv", "pqv"):
+        assert np.array_equal(getattr(rebuilt, key), columns[key])

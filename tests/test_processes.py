@@ -177,12 +177,20 @@ class TestRng:
             uniform_rows(9, 0, 1, 8, col_lo)
 
 
+def step_records(trace):
+    """(x_new, increment, cond_second_moment, terms) of steps 1..n of a
+    trace, from one array step over the states before them and the
+    replicate's uniforms."""
+    spec, n = trace.spec, trace.spec.n
+    u = uniform_rows(trace.seed, trace.replicate, trace.replicate + 1, n * spec.cols)
+    return spec.step(trace.states[:-1], u.reshape(n, spec.cols).T, np.arange(1, n + 1))
+
+
 class TestAR1:
     spec = AR1Spec(p=1 / 3, theta=0.5, n=100)
 
     def test_noise_support(self):
-        trace = ar1_simulate(self.spec, seed=0)
-        xs = trace.stats["x"]
+        xs = ar1_simulate(self.spec, seed=0).states
         eps = xs[1:] - self.spec.theta * xs[:-1]
         p, q = self.spec.p, self.spec.q
         assert np.all(np.isclose(eps, 2 * q) | np.isclose(eps, -2 * p))
@@ -192,9 +200,9 @@ class TestAR1:
 
     def test_estimator_identity(self):
         for seed in range(5):
-            trace = ar1_simulate(self.spec, seed=seed)
-            th = trace.stats["theta_hat"][-1]
-            rhs = self.spec.sigma2 * trace.path.m[-1] / trace.path.pqv[-1]
+            columns = ar1_simulate(self.spec, seed=seed).columns()
+            th = columns["theta_hat"][-1]
+            rhs = self.spec.sigma2 * columns["m"][-1] / columns["pqv"][-1]
             assert th - self.spec.theta == pytest.approx(rhs, rel=1e-10)
 
     def test_sandwich_every_k(self, monkeypatch):
@@ -219,42 +227,42 @@ class TestAR1:
             if theta == 0.5:
                 # X_12 spells the replicate's bits in base 1/2: all paths differ
                 assert len(np.unique(finals["x"])) == 2**12
-        trace = ar1_simulate(self.spec, seed=3)
+        columns = ar1_simulate(self.spec, seed=3).columns()
         p, q = self.spec.p, self.spec.q
-        qv, pqv = trace.path.qv[1:], trace.path.pqv[1:]
+        qv, pqv = columns["qv"][1:], columns["pqv"][1:]
         assert np.all(p / q * pqv <= qv * (1 + 1e-12))
         assert np.all(qv <= q / p * pqv * (1 + 1e-12))
 
     def test_symmetric_case_variations_equal(self):
         spec = AR1Spec(p=0.5, theta=0.5, n=100)
-        trace = ar1_simulate(spec, seed=1)
-        assert np.array_equal(trace.path.qv, trace.path.pqv)
+        columns = ar1_simulate(spec, seed=1).columns()
+        assert np.array_equal(columns["qv"], columns["pqv"])
 
     def test_deterministic(self):
         t1 = ar1_simulate(self.spec, seed=11)
         t2 = ar1_simulate(self.spec, seed=11)
-        assert np.array_equal(t1.stats["x"], t2.stats["x"])
+        assert np.array_equal(t1.states, t2.states)
 
 
 class TestIDLA:
     spec = IDLASpec(n=200)
 
     def test_path_constraints(self):
-        trace = idla_simulate(self.spec, seed=4)
-        xs = trace.stats["x"]
+        columns = idla_simulate(self.spec, seed=4).columns()
+        xs = columns["x"]
         ks = np.arange(self.spec.n + 1)
         assert np.all(np.abs(xs) <= ks)
         assert np.all((xs - ks) % 2 == 0)
-        assert np.all(trace.stats["r"] - trace.stats["l"] == ks)
+        assert np.all(columns["r"] - columns["l"] == ks)
 
     def test_pqv_identity(self):
         trace = idla_simulate(IDLASpec(n=50), seed=8)
-        xs = trace.stats["x"]
+        xs = trace.states
         n = 50
         expected = sum((k + 1) ** 2 for k in range(1, n + 1)) - sum(
             xs[k - 1] ** 2 for k in range(1, n + 1)
         )
-        assert trace.path.pqv[-1] == pytest.approx(expected, abs=1e-9)
+        assert trace.columns()["pqv"][-1] == pytest.approx(expected, abs=1e-9)
 
     def test_exact_moments(self):
         assert idla_exact_moments(1) == (1.0, 4.0)
@@ -295,9 +303,9 @@ class TestIDLA:
         finals = idla_finals(IDLASpec(n=2), 5, 0, 5000)
         assert not np.any(finals["qv"] == finals["pqv"])
         for rep in range(50):
-            trace = idla_simulate(IDLASpec(n=10), seed=5, replicate=rep)
-            assert np.any(trace.path.qv != trace.path.pqv)
-            assert trace.path.qv[2] != trace.path.pqv[2]
+            columns = idla_simulate(IDLASpec(n=10), seed=5, replicate=rep).columns()
+            assert np.any(columns["qv"] != columns["pqv"])
+            assert columns["qv"][2] != columns["pqv"][2]
 
 
 class TestLearning:
@@ -305,20 +313,21 @@ class TestLearning:
 
     def test_perfect_hypothesis_is_degenerate(self):
         spec = LearnSpec(theta_star=0.5, eta=0.0, gamma0=0.5, c0=0.5, n=50)
-        trace = learning_simulate(spec, seed=0)
-        assert np.all(trace.terms["true_risk"] == 0.0)
-        assert np.all(trace.terms["loss"] == 0.0)
-        assert np.all(trace.path.m == 0.0)
+        columns = learning_simulate(spec, seed=0).columns()
+        # sums of non-negative terms: every loss and every risk is 0
+        assert np.all(columns["r_bar"] == 0.0)
+        assert np.all(columns["r_hat"] == 0.0)
+        assert np.all(columns["m"] == 0.0)
 
     def test_losses_binary(self):
-        trace = learning_simulate(self.spec, seed=2)
-        assert set(np.unique(trace.terms["loss"])) <= {0.0, 1.0}
+        loss, _ = step_records(learning_simulate(self.spec, seed=2))[3]
+        assert set(np.unique(loss)) <= {0.0, 1.0}
 
     def test_risk_gap_is_scaled_martingale(self):
-        trace = learning_simulate(self.spec, seed=3)
+        columns = learning_simulate(self.spec, seed=3).columns()
         for k in range(1, self.spec.n + 1):
-            gap = trace.stats["r_bar"][k] - trace.stats["r_hat"][k]
-            assert gap == pytest.approx(trace.path.m[k] / k, abs=1e-12)
+            gap = columns["r_bar"][k] - columns["r_hat"][k]
+            assert gap == pytest.approx(columns["m"][k] / k, abs=1e-12)
 
     def test_closed_form_risk(self):
         # quadrature oracle over x in [0,1] for the 0-1 loss of h_c
@@ -370,12 +379,10 @@ def test_kernel_matches_single_path(process, rep, tile, monkeypatch):
         monkeypatch.setattr(processes, "TILE", tile)
         spec = dataclasses.replace(spec, n=spec.n + 3)
     finals = block_finals(spec, seed, 0, 4)
-    trace = simulate(spec, seed=seed, replicate=rep)
+    columns = simulate(spec, seed=seed, replicate=rep).columns()
     # finals are the path's m, qv, pqv and every trace statistic at the horizon
-    assert list(finals) == ["m", "qv", "pqv", *trace.stats]
-    for key in ("m", "qv", "pqv"):
-        assert getattr(trace.path, key)[-1] == finals[key][rep]
-    for key, series in trace.stats.items():
+    assert list(finals) == list(columns)
+    for key, series in columns.items():
         assert series[-1] == finals[key][rep]
 
 
@@ -510,12 +517,13 @@ def test_trace_csv_shape():
 
 
 def whole_series_rows(trace):
-    """The CSV header and each row as repr of each value, from the trace's
-    whole series."""
-    header = trace_to_csv(trace, 0, 0).removesuffix("\r\n")
-    _, *cols = header.split(",")
-    series = [trace.stats[c] if c in trace.stats else getattr(trace.path, c) for c in cols]
-    rows = [",".join([str(k)] + [repr(float(v[k])) for v in series]) for k in range(trace.path.n + 1)]
+    """The CSV header and each row as repr of each value, from one rebuild
+    of the whole range: one draw of the horizon, one array step and a
+    cumsum from zero."""
+    columns = trace.columns()
+    header = ",".join(["step", *columns])
+    series = columns.values()
+    rows = [",".join([str(k)] + [repr(float(v[k])) for v in series]) for k in range(trace.spec.n + 1)]
     return header, rows
 
 
@@ -531,7 +539,7 @@ def test_trace_csv_blocks_join_to_whole(process, tile, monkeypatch):
     header, rows = whole_series_rows(trace)
     assert header.split(",")[:4] == ["step", "m", "qv", "pqv"]
     assert whole == "\r\n".join([header, *rows, ""])
-    blocks = range(0, trace.path.n + 1, processes.TILE)
+    blocks = range(0, trace.spec.n + 1, processes.TILE)
     assert "".join(trace_to_csv(trace, lo, lo + processes.TILE) for lo in blocks) == whole
     assert trace_to_csv(trace, 0, 1).count("\r\n") == 2  # the header and step 0
     lo, hi = processes.TILE + 1, 2 * processes.TILE + 2  # a range off the tiles
