@@ -165,33 +165,49 @@ def pqv_ratio_bound(x: float, y: float, a: float) -> float:
     return _cap(2.0 * math.exp(-x * x * y / (2.0 * a * c * c)))
 
 
+def _gauss_h(y: float) -> float:
+    """h(y) = (1+y)log(1+y) - y, summed as its series
+    sum_{k>=2} (-1)^k y^k/(k(k-1)) below y = 1/4, where the two terms of h
+    would cancel."""
+    if y >= 0.25:
+        return (1.0 + y) * math.log1p(y) - y
+    total, power, k = 0.0, y * y, 2
+    while True:
+        term = power / (k * (k - 1))
+        total += term if k % 2 == 0 else -term
+        if term <= 1e-17 * total:
+            return total
+        power *= y
+        k += 1
+
+
 def _gauss_ar_root(x: float) -> float:
     """Unique positive root of (1+y)log(1+y) - y = x^2.
 
     Bracketing bisection refined by Newton; h is strictly increasing on
-    (0, inf) so the bracket is safe.  The solve stops when h(y) is within
-    1e-12 of x^2, or when no float is left strictly inside the bracket,
+    (0, inf) so the bracket is safe.  The solve stops when a Newton step
+    moves y by at most 1e-9 of itself, which leaves an error below the
+    rounding of h, or when no float is left strictly inside the bracket,
     which is all float spacing allows once x^2 is large.  The bracket
     starts at 2x^2, so x must keep that finite (else ValueError).
     """
     target = x * x
     if not math.isfinite(2.0 * target):
         raise ValueError(f"x is too large for the Gaussian AR baseline, got {x}")
-    h = lambda y: (1.0 + y) * math.log1p(y) - y
     lo, hi = 0.0, max(2.0 * target, 4.0 * x)
-    while h(hi) < target:
+    while _gauss_h(hi) < target:
         hi *= 2.0
     y = 0.5 * (lo + hi)
     for _ in range(200):
-        val = h(y) - target
-        if abs(val) < 1e-12:
-            return y
+        val = _gauss_h(y) - target
         if val > 0.0:
             hi = y
         else:
             lo = y
         # Newton step, falling back to bisection when it leaves the bracket
-        step = y - val / math.log1p(y) if y > 0.0 else 0.5 * (lo + hi)
+        step = y - val / math.log1p(y)
+        if abs(step - y) <= 1e-9 * y:
+            return step
         y = step if lo < step < hi else 0.5 * (lo + hi)
         if not lo < y < hi:
             # the bracket holds two adjacent floats; y is one of them

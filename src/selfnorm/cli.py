@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -54,26 +55,20 @@ def _default_seed() -> int:
     return seed
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--alpha", type=parse_real, default=0.05)
-    sub.add_argument("--reps", type=int, default=None)
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
 def _add_process_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=100)
-    sub.add_argument("--a", type=parse_real, default=1 / 3)
-    sub.add_argument("--p", type=parse_real, default=0.5)
-    sub.add_argument("--theta", type=parse_real, default=0.5)
-    sub.add_argument("--theta-star", type=parse_real, default=0.5)
-    sub.add_argument("--eta", type=parse_real, default=0.1)
-    sub.add_argument("--gamma0", type=parse_real, default=0.5)
-    sub.add_argument("--c0", type=parse_real, default=0.0)
-    sub.add_argument("--delta", type=parse_real, default=0.2)
-    sub.add_argument("--x-grid", type=parse_real_list, default=None)
+    """--seed, and --<field> for each field of the process specs (--theta-star
+    for theta_star), with the field's type and default."""
+    sub.add_argument("--seed", type=int, default=None)
+    spec_fields = {f.name: f for spec in PROCESSES.values() for f in fields(spec)}
+    for f in spec_fields.values():
+        kind = int if f.type in (int, "int") else parse_real
+        sub.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,32 +88,37 @@ def build_parser() -> argparse.ArgumentParser:
     w = subs.add_parser("weights", help="weight functions c(a), b(a)")
     w.add_argument("--a", type=parse_real_list, default=None, dest="a_list")
     w.add_argument("--table1", action="store_true")
-    _add_common(w)
+    _add_output_flags(w)
 
     h = subs.add_parser("hermite", help="pointwise inequality margin suite")
     h.add_argument("--a-grid", default="default")
     h.add_argument("--x-max", type=parse_real, default=montecarlo.HERMITE_X_MAX)
     h.add_argument("--x-steps", type=int, default=montecarlo.HERMITE_X_STEPS)
-    _add_common(h)
+    _add_output_flags(h)
 
     s = subs.add_parser("simulate", help="emit one process trace")
     s.add_argument("process", choices=tuple(PROCESSES))
     _add_process_flags(s)
-    _add_common(s)
+    _add_output_flags(s)
 
     v = subs.add_parser("verify", help="verify one implemented inequality")
     v.add_argument("inequality", choices=tuple(montecarlo.CHECKS))
     v.add_argument("--process", choices=tuple(PROCESSES), default=None)
     v.add_argument("--a-grid", default="default")
+    v.add_argument("--a", type=parse_real, default=1 / 3)
+    v.add_argument("--delta", type=parse_real, default=0.2)
+    v.add_argument("--x-grid", type=parse_real_list, default=None)
+    v.add_argument("--alpha", type=parse_real, default=0.05)
+    v.add_argument("--reps", type=int, default=None)
     _add_process_flags(v)
-    _add_common(v)
+    _add_output_flags(v)
 
     t = subs.add_parser("learning-table", help="risk-threshold comparison table")
     t.add_argument("--n", type=int, default=100)
     t.add_argument("--a", type=parse_real, default=1 / 3)
     t.add_argument("--delta", type=parse_real, default=0.2)
     t.add_argument("--r-grid", type=parse_real_list, default=None)
-    _add_common(t)
+    _add_output_flags(t)
     return parser
 
 
@@ -170,13 +170,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _json_doc(rows: list, args: argparse.Namespace) -> dict:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("out",) and not callable(v)
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
     return {
-        "header": {"config": config, "seed": args.seed, "version": __version__},
+        # weights, hermite and learning-table draw nothing and have no seed
+        "header": {"config": config, "seed": getattr(args, "seed", None), "version": __version__},
         "rows": rows,
     }
 
@@ -253,15 +250,10 @@ def _a_grid(args: argparse.Namespace):
 
 def run_weights(args: argparse.Namespace) -> int:
     if args.table1:
-        rows = [
-            {"a": a, "c": bounds.weight_c(a), "b": bounds.weight_b(a)} for a, _ in TABLE1
-        ]
+        a_list = [a for a, _ in TABLE1]
     else:
         a_list = args.a_list if args.a_list is not None else [1 / 3]
-        rows = [
-            {"a": a, "c": bounds.weight_c(a), "b": bounds.weight_b(a)} for a in a_list
-        ]
-    _emit(rows, args)
+    _emit([{"a": a, "c": bounds.weight_c(a), "b": bounds.weight_b(a)} for a in a_list], args)
     return 0
 
 
@@ -312,7 +304,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
-        if args.seed is None:
+        if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
         dispatch = {
             "weights": run_weights,

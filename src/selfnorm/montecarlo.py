@@ -417,7 +417,7 @@ def verify(check: Check, params) -> list[dict]:
     simulated.
     """
     run = SimpleNamespace(**vars(params), y=None)
-    # selfnorm hermite has no --process or --x-grid
+    # selfnorm hermite has no --process, --reps or --x-grid
     process = getattr(params, "process", None)
     if process not in (None, check.process) and not check.any_process:
         runs_on = f"the {check.process} process only" if check.process else "no process"

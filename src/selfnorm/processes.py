@@ -93,9 +93,9 @@ class AR1Spec:
     noise has mean 0 and variance sigma^2 = 4pq.  X_0 = 1 deterministically.
     """
 
-    p: float
-    theta: float
-    n: int
+    p: float = 0.5
+    theta: float = 0.5
+    n: int = 100
 
     cols: ClassVar[int] = 1
     terms: ClassVar[tuple[str, ...]] = ("sxx", "sxy")
@@ -129,7 +129,7 @@ class AR1Spec:
 class IDLASpec:
     """One-dimensional aggregation cluster, tracked through X_n = L_n + R_n."""
 
-    n: int
+    n: int = 100
 
     cols: ClassVar[int] = 1
     terms: ClassVar[tuple[str, ...]] = ()
@@ -163,11 +163,11 @@ class LearnSpec:
     c <- clamp(c + gamma0/sqrt(k) * (prediction - label)) on mistakes.
     """
 
-    theta_star: float
-    eta: float
-    gamma0: float
-    c0: float
-    n: int
+    theta_star: float = 0.5
+    eta: float = 0.1
+    gamma0: float = 0.5
+    c0: float = 0.0
+    n: int = 100
 
     cols: ClassVar[int] = 2
     terms: ClassVar[tuple[str, ...]] = ("loss", "true_risk")

@@ -11,7 +11,8 @@ names each changed digest, with its reason, in CHANGES.md;
     PYTHONPATH=src python tests/record_golden.py --diff
 
 writes nothing and prints that list: each command whose digest differs from
-the file, then each one added to or dropped from the corpus.
+the file, then each one added to or dropped from the corpus.  It exits 1
+when it lists any command and 0 when it prints "no differences".
 """
 
 from __future__ import annotations
@@ -79,9 +80,14 @@ def _refused_process_cases() -> list[Case]:
 
 
 def _refused_flag_cases() -> list[Case]:
-    # --reps where nothing is simulated, --x-grid where no tail event is
+    # --reps where nothing is simulated, --x-grid where no tail event is,
+    # and flags a subcommand does not have
     return [
         Case(("hermite", "--reps", "200")),
+        Case(("weights", "--reps", "3")),
+        Case(("hermite", "--seed", "3")),
+        Case(("simulate", "idla", "--n", "3", "--x-grid", "1,2")),
+        Case(("learning-table", "--alpha", "0.1")),
         *(
             Case(("verify", check_id, "--reps", "200"))
             for check_id, check in CHECKS.items()
@@ -135,6 +141,10 @@ CASES = [
     Case(("simulate", "idla", "--n", "3"), env_seed="abc"),
     Case(("simulate", "idla", "--n", "3"), env_seed=""),
     Case(("simulate", "idla", "--n", "3"), env_seed=str(2**64 - 1)),
+    # a command that draws nothing reads no seed: the variable is ignored,
+    # and the JSON header's seed is null
+    Case(("weights",), env_seed="abc"),
+    Case(("weights", "--table1", "--format", "json")),
     Case(("simulate", "idla", "--n", "3"), config={"n": "ten"}),
     Case(("simulate", "idla", "--n", "3"), config={"format": "xml"}),
     Case(("weights",), config={"table1": "yes"}),
@@ -208,7 +218,7 @@ def main(argv=None) -> int:
     if args.diff:
         lines = diff(table, json.loads(DIGESTS.read_text()))
         print("\n".join(lines) if lines else "no differences")
-        return 0
+        return 1 if lines else 0
     DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
     print(f"recorded {len(table)} digests in {DIGESTS}", file=sys.stderr)
     return 0

@@ -242,6 +242,25 @@ class TestBaselines:
         for x in map(float, xs):
             assert bounds._gauss_ar_root(x) == pytest.approx(root(x), rel=1e-12, abs=0.0), x
 
+    def test_gauss_ar_root_accurate_at_small_x(self):
+        # h(y) ~ y^2/2 cancels in its closed form for small y, so the solve
+        # must sum its series there and stop on a relative test; the
+        # reference is Newton in 60 digits from above, as in the test above
+        mpmath = pytest.importorskip("mpmath")
+
+        def root(x):
+            with mpmath.workdps(60):
+                target, y = mpmath.mpf(x) ** 2, mpmath.mpf(max(2 * x * x, 4 * x, 1.0))
+                for _ in range(500):
+                    step = ((1 + y) * mpmath.log1p(y) - y - target) / mpmath.log1p(y)
+                    y -= step
+                    if abs(step) <= mpmath.mpf(10) ** -45 * y:
+                        return float(y)
+            raise AssertionError(f"no reference root at x = {x}")
+
+        for x in map(float, np.geomspace(1e-8, 1e150, 317)):
+            assert bounds._gauss_ar_root(x) == pytest.approx(root(x), rel=1e-14, abs=0.0), x
+
     def test_gauss_ar_bound_never_raises_below_overflow(self):
         for x in np.linspace(0.01, 2000.0, 4000):
             assert 0.0 <= gauss_ar_bound(float(x), 10) <= 1.0

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,7 +10,7 @@ from selfnorm import __version__, cli
 from selfnorm.cli import main, parse_real, parse_real_list
 from selfnorm.bounds import TABLE1
 from selfnorm import montecarlo
-from selfnorm.processes import make_spec, simulate
+from selfnorm.processes import PROCESSES, make_spec, simulate
 from selfnorm.montecarlo import CHECKS
 
 
@@ -267,7 +269,6 @@ def test_process_refused_unless_entry_takes_it(capsys, monkeypatch, check_id, pr
 NO_REPS = "--reps does not apply: this check simulates no process"
 NO_X_GRID = "--x-grid does not apply: this check has no tail event"
 REFUSED_FLAGS = [
-    ["hermite", "--reps", "200"],
     *(["verify", check_id, "--reps", "200"] for check_id, c in CHECKS.items() if c.process is None),
     *(["verify", check_id, "--x-grid", "1,2", "--n", "30"]
       for check_id, c in CHECKS.items() if c.event is None),
@@ -284,6 +285,90 @@ def test_flag_refused_unless_entry_reads_it(capsys, monkeypatch, argv):
     assert_one_error_line(code, captured)
     assert captured.err == f"error: {NO_REPS if '--reps' in argv else NO_X_GRID}\n"
     assert calls == []
+
+
+# each subcommand parses only the flags it reads, so a flag that another
+# subcommand reads is unrecognized here rather than ignored
+REMOVED_FLAGS = [
+    *([command, flag, value]
+      for command in ("weights", "hermite", "learning-table")
+      for flag, value in (("--seed", "3"), ("--alpha", "0.1"), ("--reps", "200"))),
+    *(["simulate", "idla", "--n", "3", flag, value]
+      for flag, value in (("--a", "1/3"), ("--delta", "0.2"), ("--x-grid", "1,2"),
+                          ("--alpha", "0.1"), ("--reps", "200"))),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+def test_flag_refused_by_subcommand_without_it(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *a: calls.append(a))
+    monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    assert calls == []
+
+
+def option_dests(command):
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subs.choices[command]._actions if a.option_strings and a.dest != "help"}
+
+
+OUTPUT_FLAGS = {"out", "format", "config"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("weights", {"a_list", "table1"}),
+        ("hermite", {"a_grid", "x_max", "x_steps"}),
+        ("simulate", {"seed", "n", "p", "theta", "theta_star", "eta", "gamma0", "c0"}),
+        ("verify", {"seed", "n", "p", "theta", "theta_star", "eta", "gamma0", "c0", "process",
+                    "a_grid", "a", "delta", "x_grid", "alpha", "reps"}),
+        ("learning-table", {"n", "a", "delta", "r_grid"}),
+    ],
+)
+def test_subcommand_parses_only_the_flags_it_reads(command, flags):
+    assert set(option_dests(command)) == flags | OUTPUT_FLAGS
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_process_flags_are_the_spec_fields(command):
+    # one flag per field of any spec, with the field's default and type
+    actions = option_dests(command)
+    for spec in PROCESSES.values():
+        for f in dataclasses.fields(spec):
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.default == f.default
+            assert (action.type is int) == (f.name == "n")
+
+
+@pytest.mark.parametrize("command", ["weights", "hermite", "learning-table"])
+def test_seedless_command_ignores_seed_variable(monkeypatch, capsys, command):
+    # only simulate and verify draw random numbers, so only they read it
+    _, unset = run(capsys, command, "--format", "json")
+    monkeypatch.setenv("SELFNORM_SEED", "abc")
+    code = main([command, "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == unset
+    header = json.loads(captured.out)["header"]
+    assert header["seed"] is None
+    assert not {"seed", "alpha", "reps"} & set(header["config"])
+
+
+@pytest.mark.parametrize("key", ["seed", "alpha", "reps"])
+def test_config_key_of_a_removed_flag_is_unknown(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 3}))
+    code = main(["weights", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -506,7 +591,7 @@ class TestSeedRange:
     @pytest.mark.parametrize("text", [str(2**64 - 1), str(2**63), "-1"])
     def test_env_out_of_range_names_the_variable(self, monkeypatch, capsys, text):
         monkeypatch.setenv("SELFNORM_SEED", text)
-        code = main(["weights"])
+        code = main(["simulate", "idla", "--n", "3"])
         captured = capsys.readouterr()
         assert_one_error_line(code, captured)
         assert captured.err == f"error: SELFNORM_SEED: seed must lie in [0, 2**63), got {text}\n"
