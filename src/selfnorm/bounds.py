@@ -262,11 +262,19 @@ def missing_factor_bound(x: float, p: float) -> tuple[float, float]:
 
 
 def kearns_saul_phi(p: float) -> float:
-    """phi(p) = (q - p)/log(q/p) with q = 1 - p; takes the limit 1/2 at p = 1/2."""
+    """phi(p) = (q - p)/log(q/p) with q = 1 - p; takes the limit 1/2 at p = 1/2.
+
+    With d = q - p, phi = d / (2 atanh d), which keeps its digits near
+    p = 1/2, where q/p rounds to 1.  d = 1 - 2p is exact only for p >= 1/4,
+    so that form is used only where |d| < 1/2.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if abs(p - 0.5) < 1e-9:
+    d = 1.0 - 2.0 * p
+    if d == 0.0:
         return 0.5
+    if abs(d) < 0.5:
+        return d / (2.0 * math.atanh(d))
     q = 1.0 - p
     return (q - p) / math.log(q / p)
 

@@ -55,70 +55,86 @@ def _default_seed() -> int:
     return seed
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--config", default=None, help="JSON file with flag defaults")
+def parse_a_grid(text: str) -> tuple[float, ...]:
+    """Parse --a-grid: "default" for DEFAULT_A_GRID, or comma-separated reals."""
+    return DEFAULT_A_GRID if text == "default" else tuple(parse_real_list(text))
 
 
-def _add_process_flags(sub: argparse.ArgumentParser) -> None:
-    """--seed, and --<field> for each field of the process specs (--theta-star
-    for theta_star), with the field's type and default."""
-    sub.add_argument("--seed", type=int, default=None)
-    spec_fields = {f.name: f for spec in PROCESSES.values() for f in fields(spec)}
-    for f in spec_fields.values():
-        kind = int if f.type in (int, "int") else parse_real
-        sub.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
+# destination: (flag, type, default) of every flag but --process, --seed,
+# the process fields and the output flags; a bool flag is a switch
+_FLAGS = {
+    "a_list": ("--a", parse_real_list, None),
+    "table1": ("--table1", bool, False),
+    "a_grid": ("--a-grid", parse_a_grid, "default"),
+    "x_max": ("--x-max", parse_real, montecarlo.HERMITE_X_MAX),
+    "x_steps": ("--x-steps", int, montecarlo.HERMITE_X_STEPS),
+    "a": ("--a", parse_real, 1 / 3),
+    "delta": ("--delta", parse_real, 0.2),
+    "x_grid": ("--x-grid", parse_real_list, None),
+    "alpha": ("--alpha", parse_real, 0.05),
+    "reps": ("--reps", int, None),
+    "n": ("--n", int, 100),
+    "r_grid": ("--r-grid", parse_real_list, None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ValueError, so that main
-    reports them as one ``error:`` line like every other bad input."""
+    reports them as one ``error:`` line like every other bad input.  It
+    matches no flag by a prefix of its name."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, allow_abbrev=False, **kw)
 
     def error(self, message):
         raise ValueError(message)
 
 
+def _add_parser(subs, name: str, dests=(), specs=(), **kw) -> argparse.ArgumentParser:
+    """A leaf parser: the _FLAGS of dests, --seed and --<field> per field of
+    the specs when any are given (None by default when several are, as the
+    process is chosen after parsing), and the output flags."""
+    sub = subs.add_parser(name, **kw)
+    for dest in dests:
+        flag, kind, default = _FLAGS[dest]
+        how = {"action": "store_true"} if kind is bool else {"type": kind, "default": default}
+        sub.add_argument(flag, dest=dest, **how)
+    if specs:
+        sub.add_argument("--seed", type=int, default=None)
+    for f in {f.name: f for spec in specs for f in fields(spec)}.values():
+        kind = int if f.type in (int, "int") else parse_real
+        default = f.default if len(specs) == 1 else None
+        sub.add_argument("--" + f.name.replace("_", "-"), type=kind, default=default)
+    sub.add_argument("--out", default=None)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--config", default=None, help="JSON file with flag defaults")
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The selfnorm parser."""
+    """The selfnorm parser, with a leaf parser per subcommand, per simulated
+    process and per verify id."""
     parser = _Parser(prog="selfnorm")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    w = subs.add_parser("weights", help="weight functions c(a), b(a)")
-    w.add_argument("--a", type=parse_real_list, default=None, dest="a_list")
-    w.add_argument("--table1", action="store_true")
-    _add_output_flags(w)
-
-    h = subs.add_parser("hermite", help="pointwise inequality margin suite")
-    h.add_argument("--a-grid", default="default")
-    h.add_argument("--x-max", type=parse_real, default=montecarlo.HERMITE_X_MAX)
-    h.add_argument("--x-steps", type=int, default=montecarlo.HERMITE_X_STEPS)
-    _add_output_flags(h)
-
-    s = subs.add_parser("simulate", help="emit one process trace")
-    s.add_argument("process", choices=tuple(PROCESSES))
-    _add_process_flags(s)
-    _add_output_flags(s)
-
-    v = subs.add_parser("verify", help="verify one implemented inequality")
-    v.add_argument("inequality", choices=tuple(montecarlo.CHECKS))
-    v.add_argument("--process", choices=tuple(PROCESSES), default=None)
-    v.add_argument("--a-grid", default="default")
-    v.add_argument("--a", type=parse_real, default=1 / 3)
-    v.add_argument("--delta", type=parse_real, default=0.2)
-    v.add_argument("--x-grid", type=parse_real_list, default=None)
-    v.add_argument("--alpha", type=parse_real, default=0.05)
-    v.add_argument("--reps", type=int, default=None)
-    _add_process_flags(v)
-    _add_output_flags(v)
-
-    t = subs.add_parser("learning-table", help="risk-threshold comparison table")
-    t.add_argument("--n", type=int, default=100)
-    t.add_argument("--a", type=parse_real, default=1 / 3)
-    t.add_argument("--delta", type=parse_real, default=0.2)
-    t.add_argument("--r-grid", type=parse_real_list, default=None)
-    _add_output_flags(t)
+    _add_parser(subs, "weights", ("a_list", "table1"), help="weight functions c(a), b(a)")
+    _add_parser(subs, "hermite", ("a_grid", "x_max", "x_steps"),
+                help="pointwise inequality margin suite")
+    simulate = subs.add_parser("simulate", help="emit one process trace")
+    processes = simulate.add_subparsers(dest="process", required=True)
+    for name, spec in PROCESSES.items():
+        _add_parser(processes, name, specs=(spec,))
+    verify = subs.add_parser("verify", help="verify one implemented inequality")
+    ids = verify.add_subparsers(dest="inequality", required=True)
+    for check_id, check in montecarlo.CHECKS.items():
+        if check.process is None:
+            _add_parser(ids, check_id, check.flags)
+            continue
+        runs_on = tuple(PROCESSES) if check.any_process else (check.process,)
+        sub = _add_parser(ids, check_id, (*check.flags, "reps"), [PROCESSES[p] for p in runs_on])
+        sub.add_argument("--process", choices=runs_on, default=None)
+    _add_parser(subs, "learning-table", ("n", "a", "delta", "r_grid"),
+                help="risk-threshold comparison table")
     return parser
 
 
@@ -156,8 +172,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file must hold a JSON object, got {type(cfg).__name__}")
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subs.choices[args.command]
+    # the leaf parser: the subcommand's, or that of its process or verify id
+    sub = parser
+    while subs := [a for a in sub._actions if isinstance(a, argparse._SubParsersAction)]:
+        sub = subs[0].choices[getattr(args, subs[0].dest)]
     flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
     defaults = {}
     for key, value in cfg.items():
@@ -242,12 +260,6 @@ def _trace_json(trace: ProcessTrace, args: argparse.Namespace) -> Iterator[str]:
     yield tail
 
 
-def _a_grid(args: argparse.Namespace):
-    if args.a_grid == "default":
-        return DEFAULT_A_GRID
-    return tuple(parse_real_list(args.a_grid))
-
-
 def run_weights(args: argparse.Namespace) -> int:
     if args.table1:
         a_list = [a for a, _ in TABLE1]
@@ -270,11 +282,27 @@ def run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _keep_own_fields(args: argparse.Namespace, process: str) -> None:
+    """Drop from args every process field that process's spec lacks, and set
+    each of its own left unset to the spec's default.  A field of another
+    process that is set, by a flag or by --config, raises ValueError."""
+    own = {f.name: f.default for f in fields(PROCESSES[process])}
+    for name in dict.fromkeys(f.name for spec in PROCESSES.values() for f in fields(spec)):
+        value = vars(args).pop(name)
+        if name in own:
+            setattr(args, name, own[name] if value is None else value)
+        elif value is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply: the {process} process has no {name}")
+
+
 def run_check(args: argparse.Namespace, check_id: str) -> int:
     """Evaluate one entry of the verification table and emit its rows."""
-    params = argparse.Namespace(**vars(args))
-    params.a_grid = _a_grid(args)
-    rows = montecarlo.verify(montecarlo.CHECKS[check_id], params)
+    check = montecarlo.CHECKS[check_id]
+    if check.any_process:
+        # this id's parser takes the fields of every process, each unset as None
+        _keep_own_fields(args, args.process or check.process)
+    rows = montecarlo.verify(check, args)
     _emit(rows, args)
     return 0 if all(row["satisfied"] for row in rows) else 1
 

@@ -297,16 +297,16 @@ def _supermartingale_row(run, key: tuple[float, float]) -> dict:
     }
 
 
-def _coverage_row(event: Callable):
-    """Rule of a learning check: the frequency of event(run, delta) must not
-    exceed delta + epsilon."""
+def _coverage_check(event: Callable) -> Check:
+    """A learning check: the frequency of event(run, delta) must not exceed
+    delta + epsilon."""
 
     def row(run, delta: float) -> dict:
         est = summarize_indicators(event_indicator(event, run, delta), run.alpha)
         ok = est.p_hat <= delta + hoeffding_epsilon(est.n_samples, run.alpha)
         return {"delta": delta, **_estimate_columns(est), "satisfied": ok}
 
-    return row
+    return Check("learn", 10_000, lambda run: [run.delta], row=row, flags=("a", "delta", "alpha"))
 
 
 @dataclass(frozen=True)
@@ -315,15 +315,15 @@ class Check:
 
     process is simulated once per command (None: nothing is simulated), with
     reps replicates unless --reps is given; any_process lets --process
-    replace it, and without it any other --process is refused.
-    prepare(run) then sets the level y.  grid is the tuple of row keys, or
-    grid(run) computes them.  A tail check holds its event, event(run, x)
-    being the per-replicate indicator at level x, and maps each bound column
-    to bound(run, x), None where the bound does not apply; dominating (all
-    when empty) are the bounds theory guarantees, and --x-grid replaces its
-    grid.  Any other check builds each row with row(run, key).  A check
-    that simulates no process refuses --reps, and one without an event
-    refuses --x-grid.
+    replace it.  prepare(run) then sets the level y.  grid is the tuple of
+    row keys, or grid(run) computes them.  A tail check holds its event,
+    event(run, x) being the per-replicate indicator at level x, and maps
+    each bound column to bound(run, x), None where the bound does not apply;
+    dominating (all when empty) are the bounds theory guarantees, and
+    --x-grid replaces its grid.  Any other check builds each row with
+    row(run, key).  flags names the destinations of the other flags the
+    check reads: its parser has these and, if it simulates, --process,
+    --reps, --seed and the process fields.
     """
 
     process: str | None
@@ -335,15 +335,18 @@ class Check:
     row: Callable | None = None
     prepare: Callable | None = None
     any_process: bool = False
+    flags: tuple[str, ...] = ()
 
 
 _SUPERMG_GRID = tuple(
     (a, t) for a in (1 / 3, 9 / 16) for t in (-0.05, -0.01, -0.001, 0.001, 0.01, 0.05)
 )
 
+_TAIL_FLAGS = ("a", "alpha", "x_grid")
+
 # id: Check(process, reps, grid, [event, bound columns], ...)
 CHECKS = {
-    "hermite": Check(None, 0, lambda run: run.a_grid, row=_hermite_row),
+    "hermite": Check(None, 0, lambda run: run.a_grid, row=_hermite_row, flags=("a_grid",)),
     "kearns-saul": Check(None, 0, (0.01, 0.1, 1 / 3, 0.499, 0.5), row=_kearns_saul_row),
     "weighted-tail": Check(
         "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"])), _mart_abs,
@@ -355,6 +358,7 @@ CHECKS = {
             ),
         },
         dominating=("weighted",), prepare=_set_y_median_s, any_process=True,
+        flags=_TAIL_FLAGS,
     ),
     "ratio-tail": Check(
         "idla", 100_000,
@@ -364,16 +368,17 @@ CHECKS = {
         ),
         _mart_ratio,
         {"weighted": lambda run, x: bounds.ratio_tail_bound(x, run.y, run.a)},
-        prepare=_set_y_median_s, any_process=True,
+        prepare=_set_y_median_s, any_process=True, flags=_TAIL_FLAGS,
     ),
     "pqv-ratio": Check(
         "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"]) / run.finals["pqv"]),
         _mart_pqv_ratio, {"weighted": lambda run, x: bounds.pqv_ratio_bound(x, run.y, run.a)},
-        prepare=_set_y_pqv_margin, any_process=True,
+        prepare=_set_y_pqv_margin, any_process=True, flags=_TAIL_FLAGS,
     ),
     "missing-factor": Check(
         "idla", 100_000, (1.0, 1.5, 2.0, 2.5), _mart_missing,
         {"missing-factor": lambda run, x: bounds.missing_factor_bound(x, 2.0)[1]},
+        flags=_TAIL_FLAGS,
     ),
     "ar-estimator": Check(
         "ar1", 100_000, lambda run: [f * _ar_limit(run) for f in (0.05, 0.1, 0.2, 0.4)],
@@ -384,7 +389,7 @@ CHECKS = {
             ),
             "gauss-ar": lambda run, x: bounds.gauss_ar_bound(x, run.spec.n),
         },
-        dominating=("weighted",),
+        dominating=("weighted",), flags=_TAIL_FLAGS,
     ),
     "ar-laplace": Check("ar1", 10_000, (2.0, 4.0), row=_ar_laplace_row),
     "idla-scaled": Check(
@@ -394,16 +399,16 @@ CHECKS = {
             "weighted": lambda run, x: bounds.idla_bounds(x, run.spec.n, run.a)[0],
             "azuma": lambda run, x: bounds.azuma_idla_bound(x, run.spec.n),
         },
+        flags=_TAIL_FLAGS,
     ),
     "idla-sqrt": Check(
         "idla", 100_000, (0.5, 1.0, 1.5, 2.0),
         lambda run, x: np.abs(run.finals["x"]) / math.sqrt(run.spec.n) >= x,
         {"sqrt-scaled": lambda run, x: bounds.idla_bounds(x, run.spec.n, run.a)[1]},
+        flags=_TAIL_FLAGS,
     ),
-    "learn-threshold": Check(
-        "learn", 10_000, lambda run: [run.delta], row=_coverage_row(_learn_cover)
-    ),
-    "learn-phi": Check("learn", 10_000, lambda run: [run.delta], row=_coverage_row(_learn_phi)),
+    "learn-threshold": _coverage_check(_learn_cover),
+    "learn-phi": _coverage_check(_learn_phi),
     "supermartingale": Check(
         "idla", 10_000, _SUPERMG_GRID, row=_supermartingale_row, any_process=True
     ),
@@ -413,34 +418,23 @@ def verify(check: Check, params) -> list[dict]:
     """Rows of one check for the command's flag values (params).
 
     A simulated check runs its process once; every row reads those finals.
-    A flag the check does not read raises ValueError before anything is
-    simulated.
     """
     run = SimpleNamespace(**vars(params), y=None)
-    # selfnorm hermite has no --process, --reps or --x-grid
-    process = getattr(params, "process", None)
-    if process not in (None, check.process) and not check.any_process:
-        runs_on = f"the {check.process} process only" if check.process else "no process"
-        raise ValueError(f"--process {process} does not apply: this check simulates {runs_on}")
-    reps = getattr(params, "reps", None)
-    if reps is not None and check.process is None:
-        raise ValueError("--reps does not apply: this check simulates no process")
-    x_grid = getattr(params, "x_grid", None)
-    if x_grid is not None and check.event is None:
-        raise ValueError("--x-grid does not apply: this check has no tail event")
+    # a caller may leave out --process, --reps and --x-grid
     if check.process is not None:
+        reps = getattr(params, "reps", None)
         reps = check.reps if reps is None else reps
         if reps < MIN_REPS:
             raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
-        run.process = process or check.process
+        run.process = getattr(params, "process", None) or check.process
         run.spec = make_spec(run.process, params)
         run.finals = simulate_finals(run.spec, params.seed, reps)
         if check.prepare is not None:
             check.prepare(run)
-    if x_grid:
-        keys = x_grid
-    else:
-        keys = check.grid(run) if callable(check.grid) else check.grid
+    # --x-grid replaces only a tail check's grid
+    keys = (getattr(params, "x_grid", None) if check.event else None) or check.grid
+    if callable(keys):
+        keys = keys(run)
     if check.event is None:
         return [check.row(run, key) for key in keys]
     return [_bound_row(run, x, check) for x in keys]

@@ -60,16 +60,17 @@ def _verify_cases() -> list[Case]:
     for check_id, check in CHECKS.items():
         processes = [None, *sorted(PROCESSES)] if check.any_process else [None]
         for process in processes:
-            # a check that simulates nothing refuses --reps
-            reps = [] if check.process is None else ["--reps", "2000"]
-            argv = ["verify", check_id, "--n", "30", *reps, "--seed", "3"]
+            # a check that simulates nothing has no --n, --reps or --seed
+            size = [] if check.process is None else ["--n", "30", "--reps", "2000", "--seed", "3"]
+            argv = ["verify", check_id, *size]
             argv += [] if process is None else ["--process", process]
             cases += [Case((*argv, "--format", fmt)) for fmt in ("csv", "json")]
     return cases
 
 
 def _refused_process_cases() -> list[Case]:
-    # an entry that fixes its process refuses every other --process
+    # an entry that fixes its process offers no other to --process, and one
+    # that simulates nothing has no --process
     return [
         Case(("verify", check_id, "--process", process, "--n", "30", "--reps", "200"))
         for check_id, check in CHECKS.items()
@@ -81,8 +82,21 @@ def _refused_process_cases() -> list[Case]:
 
 def _refused_flag_cases() -> list[Case]:
     # --reps where nothing is simulated, --x-grid where no tail event is,
-    # and flags a subcommand does not have
+    # flags a subcommand, process or verify id does not read, another
+    # process's field, and a prefix of a flag's name
     return [
+        Case(("hermite", "--a", "9/16")),
+        Case(("simulate", "idla", "--n", "3", "--se", "4")),
+        Case(("simulate", "idla", "--n", "3", "--p", "0.3")),
+        Case(("verify", "hermite", "--delta", "0.2")),
+        Case(("verify", "kearns-saul", "--a", "0.7")),
+        Case(("verify", "weighted-tail", "--a-grid", "0.5")),
+        Case(("verify", "ar-laplace", "--alpha", "0.3")),
+        Case(("verify", "idla-scaled", "--p", "0.3")),
+        Case(("verify", "supermartingale", "--a", "1/3")),
+        Case(("verify", "weighted-tail", "--process", "idla", "--p", "0.3")),
+        Case(("verify", "weighted-tail", "--process", "idla"), config={"p": 0.3}),
+        Case(("verify", "kearns-saul"), config={"a": 0.7}),
         Case(("hermite", "--reps", "200")),
         Case(("weights", "--reps", "3")),
         Case(("hermite", "--seed", "3")),

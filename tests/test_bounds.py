@@ -324,6 +324,19 @@ class TestKearnsSaul:
     def test_range(self, p):
         assert 0.0 <= kearns_saul_phi(p) <= 0.5 + 1e-15
 
+    def test_matches_mpmath_near_half(self):
+        # (q - p)/log(q/p) lost up to 2.5e-8 of its value next to p = 1/2
+        mpmath = pytest.importorskip("mpmath")
+        near_half = [0.5 - 10.0**e for e in np.linspace(-16, -1, 600)]
+        spread = np.linspace(0.001, 0.999, 402)[1:-1]
+        worst = 0.0
+        for p in [*near_half, *spread]:
+            with mpmath.workdps(60):
+                mp = mpmath.mpf(float(p))
+                ref = (1 - 2 * mp) / mpmath.log((1 - mp) / mp) if mp != 0.5 else mpmath.mpf(0.5)
+                worst = max(worst, float(abs(kearns_saul_phi(float(p)) - ref) / ref))
+        assert worst <= 2e-15
+
     def test_validation(self):
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):

@@ -233,7 +233,9 @@ def test_every_verify_id(capsys, monkeypatch, check_id, process):
     monkeypatch.setattr(
         montecarlo, "simulate_finals", lambda *a: calls.append(a) or simulate_finals(*a)
     )
-    argv = ["verify", check_id, *size, "--seed", "3"]
+    # an id that simulates nothing has no --seed
+    seed = [] if CHECKS[check_id].process is None else ["--seed", "3"]
+    argv = ["verify", check_id, *size, *seed]
     if process:
         argv += ["--process", process]
     code, out = run(capsys, *argv)
@@ -242,6 +244,19 @@ def test_every_verify_id(capsys, monkeypatch, check_id, process):
     assert len(csv_rows(out)) == rows
     # every row reads the finals of one simulation
     assert len(calls) == (0 if CHECKS[check_id].process is None else 1)
+
+
+def refused_before_simulating(capsys, monkeypatch, argv):
+    """Run argv with the simulators replaced; check that it exits 2 with one
+    error: line and simulated nothing, and return that line."""
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *a: calls.append(a))
+    monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert calls == []
+    return captured.err
 
 
 @pytest.mark.parametrize(
@@ -255,40 +270,138 @@ def test_every_verify_id(capsys, monkeypatch, check_id, process):
     ],
 )
 def test_process_refused_unless_entry_takes_it(capsys, monkeypatch, check_id, process):
-    # a check that fixes its process refuses any other --process before
-    # simulating, rather than ignoring it
-    calls = []
-    monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
-    code = main(["verify", check_id, "--process", process, "--n", "30", "--reps", "200"])
-    captured = capsys.readouterr()
-    assert_one_error_line(code, captured)
-    assert captured.err.startswith(f"error: --process {process} does not apply")
-    assert calls == []
+    # a check that fixes its process offers only that one to --process, and
+    # one that simulates nothing has no --process
+    argv = ["verify", check_id, "--process", process, "--n", "30", "--reps", "200"]
+    err = refused_before_simulating(capsys, monkeypatch, argv)
+    own = CHECKS[check_id].process
+    if own is None:
+        assert err == f"error: unrecognized arguments: {' '.join(argv[2:])}\n"
+    else:
+        choice = f"invalid choice: {process!r} (choose from {own!r})"
+        assert err == f"error: argument --process: {choice}\n"
 
 
-NO_REPS = "--reps does not apply: this check simulates no process"
-NO_X_GRID = "--x-grid does not apply: this check has no tail event"
-REFUSED_FLAGS = [
-    *(["verify", check_id, "--reps", "200"] for check_id, c in CHECKS.items() if c.process is None),
-    *(["verify", check_id, "--x-grid", "1,2", "--n", "30"]
-      for check_id, c in CHECKS.items() if c.event is None),
+AR1_FIELDS = {"n", "p", "theta"}
+IDLA_FIELDS = {"n"}
+LEARN_FIELDS = {"n", "theta_star", "eta", "gamma0", "c0"}
+ANY_FIELDS = AR1_FIELDS | IDLA_FIELDS | LEARN_FIELDS
+SIMULATES = {"seed", "process", "reps"}
+TAIL_FLAGS = {"a", "alpha", "x_grid"}
+LEARN_FLAGS = {"a", "delta", "alpha"}
+
+# each leaf parser's flag destinations besides the output flags
+LEAF_FLAGS = {
+    ("weights",): {"a_list", "table1"},
+    ("hermite",): {"a_grid", "x_max", "x_steps"},
+    ("simulate", "ar1"): {"seed"} | AR1_FIELDS,
+    ("simulate", "idla"): {"seed"} | IDLA_FIELDS,
+    ("simulate", "learn"): {"seed"} | LEARN_FIELDS,
+    ("verify", "hermite"): {"a_grid"},
+    ("verify", "kearns-saul"): set(),
+    ("verify", "weighted-tail"): SIMULATES | TAIL_FLAGS | ANY_FIELDS,
+    ("verify", "ratio-tail"): SIMULATES | TAIL_FLAGS | ANY_FIELDS,
+    ("verify", "pqv-ratio"): SIMULATES | TAIL_FLAGS | ANY_FIELDS,
+    ("verify", "missing-factor"): SIMULATES | TAIL_FLAGS | IDLA_FIELDS,
+    ("verify", "ar-estimator"): SIMULATES | TAIL_FLAGS | AR1_FIELDS,
+    ("verify", "ar-laplace"): SIMULATES | AR1_FIELDS,
+    ("verify", "idla-scaled"): SIMULATES | TAIL_FLAGS | IDLA_FIELDS,
+    ("verify", "idla-sqrt"): SIMULATES | TAIL_FLAGS | IDLA_FIELDS,
+    ("verify", "learn-threshold"): SIMULATES | LEARN_FLAGS | LEARN_FIELDS,
+    ("verify", "learn-phi"): SIMULATES | LEARN_FLAGS | LEARN_FIELDS,
+    ("verify", "supermartingale"): SIMULATES | ANY_FIELDS,
+    ("learning-table",): {"n", "a", "delta", "r_grid"},
+}
+
+
+def leaf_parsers(parser=None, path=()):
+    """Each leaf parser by its path of subcommand, process or verify id."""
+    parser = parser or cli.build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {
+        leaf: sub
+        for name, choice in subs[0].choices.items()
+        for leaf, sub in leaf_parsers(choice, (*path, name)).items()
+    }
+
+
+def option_dests(*path):
+    actions = leaf_parsers()[path]._actions
+    return {a.dest: a for a in actions if a.option_strings and a.dest != "help"}
+
+
+OUTPUT_FLAGS = {"out", "format", "config"}
+
+
+def test_every_leaf_parser_is_listed():
+    assert sorted(leaf_parsers()) == sorted(LEAF_FLAGS)
+    # against 228 when every verify id took 15 flags and every process 8
+    assert sum(map(len, LEAF_FLAGS.values())) == 129
+
+
+@pytest.mark.parametrize("path", LEAF_FLAGS, ids=" ".join)
+def test_subcommand_parses_only_the_flags_it_reads(path):
+    assert set(option_dests(*path)) == LEAF_FLAGS[path] | OUTPUT_FLAGS
+
+
+@pytest.mark.parametrize("path", [path for path in LEAF_FLAGS if "seed" in LEAF_FLAGS[path]],
+                         ids=" ".join)
+def test_process_flags_are_the_spec_fields(path):
+    # one flag per field of each spec the leaf can run, with the field's
+    # type; its default is the spec's, or None where --process picks the spec
+    actions = option_dests(*path)
+    check = CHECKS[path[1]] if path[0] == "verify" else None
+    if check is None:
+        names = (path[1],)
+    else:
+        names = ALL_PROCESSES if check.any_process else (check.process,)
+    for name in names:
+        for f in dataclasses.fields(PROCESSES[name]):
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.default == (None if len(names) > 1 else f.default)
+            assert (action.type is int) == (f.name == "n")
+
+
+# values of the flags that a leaf parser may lack
+FLAG_VALUES = {
+    "a_list": "1/3", "a_grid": "1", "x_max": "5", "x_steps": "11", "a": "1/3", "delta": "0.2",
+    "x_grid": "1,2", "alpha": "0.1", "reps": "200", "seed": "3", "process": "idla", "n": "30",
+    "p": "0.3", "theta": "0.3", "theta_star": "0.3", "eta": "0.3", "gamma0": "0.3", "c0": "0.3",
+}
+
+# every (leaf, flag) pair of simulate and verify that parsed when every
+# verify id took 15 flags and every process 8, and that the leaf now lacks
+VERIFY_AT_ONCE = {"process", "a_grid", "a", "delta", "x_grid", "alpha", "reps", "seed"} | ANY_FIELDS
+DROPPED_FLAGS = [
+    (path, dest)
+    for path, dests in LEAF_FLAGS.items()
+    if path[0] in ("simulate", "verify")
+    for dest in sorted((VERIFY_AT_ONCE if path[0] == "verify" else {"seed"} | ANY_FIELDS) - dests)
 ]
 
 
-@pytest.mark.parametrize("argv", REFUSED_FLAGS, ids=" ".join)
-def test_flag_refused_unless_entry_reads_it(capsys, monkeypatch, argv):
-    # a per-check flag the entry would ignore exits 2 before simulating
-    calls = []
-    monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert_one_error_line(code, captured)
-    assert captured.err == f"error: {NO_REPS if '--reps' in argv else NO_X_GRID}\n"
-    assert calls == []
+@pytest.mark.parametrize(
+    "path, dest", DROPPED_FLAGS, ids=[f"{' '.join(path)} {dest}" for path, dest in DROPPED_FLAGS]
+)
+def test_flag_refused_unless_entry_reads_it(capsys, monkeypatch, path, dest):
+    # a flag the id or process would ignore exits 2 before simulating
+    flag = "--" + dest.replace("_", "-")
+    argv = [*path, flag, FLAG_VALUES[dest]]
+    err = refused_before_simulating(capsys, monkeypatch, argv)
+    assert err == f"error: unrecognized arguments: {flag} {FLAG_VALUES[dest]}\n"
+
+
+def test_dropped_flags_count():
+    # weights, hermite and learning-table kept all of their flags
+    assert len(DROPPED_FLAGS) == 228 - 129
 
 
 # each subcommand parses only the flags it reads, so a flag that another
-# subcommand reads is unrecognized here rather than ignored
+# subcommand reads is unrecognized here rather than ignored; no flag is
+# matched by a prefix of its name
 REMOVED_FLAGS = [
     *([command, flag, value]
       for command in ("weights", "hermite", "learning-table")
@@ -296,55 +409,57 @@ REMOVED_FLAGS = [
     *(["simulate", "idla", "--n", "3", flag, value]
       for flag, value in (("--a", "1/3"), ("--delta", "0.2"), ("--x-grid", "1,2"),
                           ("--alpha", "0.1"), ("--reps", "200"))),
+    ["hermite", "--a", "9/16"],
+    ["simulate", "idla", "--n", "3", "--se", "4"],
+    ["verify", "idla-sqrt", "--n", "3", "--rep", "200"],
 ]
 
 
 @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
 def test_flag_refused_by_subcommand_without_it(capsys, monkeypatch, argv):
-    calls = []
-    monkeypatch.setattr(cli, "simulate", lambda *a: calls.append(a))
-    monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert_one_error_line(code, captured)
-    assert captured.err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
-    assert calls == []
+    err = refused_before_simulating(capsys, monkeypatch, argv)
+    assert err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
-def option_dests(command):
-    parser = cli.build_parser()
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subs.choices[command]._actions if a.option_strings and a.dest != "help"}
+ANY_PROCESS = [check_id for check_id, check in CHECKS.items() if check.any_process]
 
 
-OUTPUT_FLAGS = {"out", "format", "config"}
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("check_id", ANY_PROCESS)
+def test_other_process_field_refused(tmp_path, capsys, monkeypatch, check_id, source):
+    # the parser of an id that runs on any process takes every process's
+    # fields, but a field the chosen process lacks is refused, not ignored
+    argv = ["verify", check_id, "--process", "idla", "--n", "30", "--reps", "200"]
+    if source == "argv":
+        argv += ["--p", "0.3"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 0.3}))
+        argv += ["--config", str(cfg)]
+    err = refused_before_simulating(capsys, monkeypatch, argv)
+    assert err == "error: --p does not apply: the idla process has no p\n"
 
 
-@pytest.mark.parametrize(
-    "command, flags",
-    [
-        ("weights", {"a_list", "table1"}),
-        ("hermite", {"a_grid", "x_max", "x_steps"}),
-        ("simulate", {"seed", "n", "p", "theta", "theta_star", "eta", "gamma0", "c0"}),
-        ("verify", {"seed", "n", "p", "theta", "theta_star", "eta", "gamma0", "c0", "process",
-                    "a_grid", "a", "delta", "x_grid", "alpha", "reps"}),
-        ("learning-table", {"n", "a", "delta", "r_grid"}),
-    ],
-)
-def test_subcommand_parses_only_the_flags_it_reads(command, flags):
-    assert set(option_dests(command)) == flags | OUTPUT_FLAGS
+def test_other_process_field_refused_on_default_process(capsys, monkeypatch):
+    argv = ["verify", "weighted-tail", "--n", "30", "--reps", "200", "--eta", "0.3"]
+    err = refused_before_simulating(capsys, monkeypatch, argv)
+    assert err == "error: --eta does not apply: the idla process has no eta\n"
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_process_flags_are_the_spec_fields(command):
-    # one flag per field of any spec, with the field's default and type
-    actions = option_dests(command)
-    for spec in PROCESSES.values():
-        for f in dataclasses.fields(spec):
-            action = actions[f.name]
-            assert action.option_strings == ["--" + f.name.replace("_", "-")]
-            assert action.default == f.default
-            assert (action.type is int) == (f.name == "n")
+@pytest.mark.parametrize("process", ALL_PROCESSES)
+def test_any_process_header_has_the_process_fields(capsys, process):
+    # the JSON header lists the fields of the process run, each at its flag
+    # value or its spec's default, and no other process's
+    argv = ["verify", "supermartingale", "--process", process, "--n", "30", "--reps", "200",
+            "--seed", "3", "--format", "json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    config = json.loads(out)["header"]["config"]
+    fields = dataclasses.fields(PROCESSES[process])
+    assert ANY_FIELDS & set(config) == {f.name for f in fields}
+    assert {f.name: config[f.name] for f in fields} == {
+        f.name: 30 if f.name == "n" else f.default for f in fields
+    }
 
 
 @pytest.mark.parametrize("command", ["weights", "hermite", "learning-table"])
@@ -361,14 +476,23 @@ def test_seedless_command_ignores_seed_variable(monkeypatch, capsys, command):
     assert not {"seed", "alpha", "reps"} & set(header["config"])
 
 
-@pytest.mark.parametrize("key", ["seed", "alpha", "reps"])
-def test_config_key_of_a_removed_flag_is_unknown(tmp_path, capsys, key):
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        *((["weights"], key) for key in ("seed", "alpha", "reps")),
+        (["verify", "kearns-saul"], "a"),
+        (["verify", "hermite"], "seed"),
+        (["verify", "ar-laplace"], "alpha"),
+        (["verify", "idla-scaled"], "p"),
+        (["simulate", "idla"], "eta"),
+    ],
+)
+def test_config_key_of_a_removed_flag_is_unknown(tmp_path, capsys, monkeypatch, command, key):
+    # the key is looked up in the leaf parser of the process or verify id
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 3}))
-    code = main(["weights", "--config", str(cfg)])
-    captured = capsys.readouterr()
-    assert_one_error_line(code, captured)
-    assert captured.err == f"error: unknown config key {key!r}\n"
+    err = refused_before_simulating(capsys, monkeypatch, [*command, "--config", str(cfg)])
+    assert err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -516,6 +640,22 @@ class TestConfigFile:
         cfg.write_text(json.dumps(doc))
         code = main(["verify", "idla-sqrt", "--n", "8", "--reps", "200", "--config", str(cfg)])
         assert_one_error_line(code, capsys.readouterr())
+
+    @pytest.mark.parametrize("value, error", [
+        (3, "config key 'a_grid' takes a string, got 3"),
+        (",", "config key 'a_grid': no numbers in list ','"),
+    ])
+    def test_a_grid_value_parses_as_its_flag(self, tmp_path, capsys, value, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a_grid": value}))
+        code = main(["verify", "hermite", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert captured.err == f"error: {error}\n"
+        cfg.write_text(json.dumps({"a_grid": "1/3,1"}))
+        assert run(capsys, "verify", "hermite", "--config", str(cfg)) == run(
+            capsys, "verify", "hermite", "--a-grid", "1/3,1"
+        )
 
     def test_values_parse_as_their_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

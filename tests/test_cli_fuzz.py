@@ -1,12 +1,13 @@
 """Fuzzed command lines keep the exit-code contract.
 
-Every argv is built from the parser's own subcommands, verify ids and flags,
-with a mix of valid and invalid values, and run in process.  Whatever the
-input: the exit code is 0, 1 or 2; nothing is a traceback; stderr is empty
-or one ``error:`` line; and exit 1 means that some row is not satisfied.
+Every argv is built from one leaf parser (a subcommand, simulated process or
+verify id) and its own flags, with a mix of valid and invalid values, and
+run in process; one argv in five also holds a flag that only another leaf
+reads.  Whatever the input: the exit code is 0, 1 or 2; nothing is a
+traceback; stderr is empty or one ``error:`` line; an argv with another
+leaf's flag exits 2; and exit 1 means that some row is not satisfied.
 """
 
-import argparse
 import contextlib
 import csv
 import io
@@ -15,12 +16,12 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfnorm.cli import build_parser, main
-from selfnorm.montecarlo import CHECKS
+from selfnorm.cli import main
+from test_cli import leaf_parsers
 
-SUBCOMMANDS = next(
-    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-).choices
+LEAVES = leaf_parsers()
+# with a bad process or verify id, which no parser has
+PATHS = sorted(LEAVES) + [("simulate", "bogus"), ("verify", "bogus")]
 
 # flags that write files, read files or only print usage
 SKIPPED = {"-h", "--help", "--out", "--config"}
@@ -48,32 +49,45 @@ VALUES = {
 }
 
 
+def own_flags(path):
+    """The flag actions of the path's leaf parser that the fuzzer draws."""
+    leaf = LEAVES.get(path)
+    actions = leaf._actions if leaf else []
+    return [a for a in actions if a.option_strings and not SKIPPED & set(a.option_strings)]
+
+
+# every drawn flag of any leaf parser, by its name
+ALL_FLAGS = {a.option_strings[-1]: a for path in LEAVES for a in own_flags(path)}
+
+
+def flag_and_value(draw, action):
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return [flag]
+    return [flag, draw(VALUES.get(flag, st.sampled_from(REALS)))]
+
+
 @st.composite
 def argvs(draw):
-    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
-    argv = [name]
-    flags = []
-    for action in SUBCOMMANDS[name]._actions:
-        if not action.option_strings:
-            # a positional: the process or verify id, or a bad one
-            argv.append(draw(st.sampled_from([*action.choices, "bogus"])))
-        elif not SKIPPED & set(action.option_strings):
-            flags.append(action)
-    for action in draw(st.lists(st.sampled_from(flags), max_size=5, unique=True)):
-        flag = action.option_strings[-1]
-        argv.append(flag)
-        if action.nargs != 0:
-            argv.append(draw(VALUES.get(flag, st.sampled_from(REALS))))
+    """An argv, and whether it holds a flag that only another leaf reads."""
+    path = draw(st.sampled_from(PATHS))
+    argv = list(path)
+    own = own_flags(path)
+    for action in draw(st.lists(st.sampled_from(own), max_size=5, unique=True)) if own else []:
+        argv += flag_and_value(draw, action)
     if draw(st.integers(0, 4)) == 0:  # one argv in five
         argv += ["--bogus", "2"]
-    simulates = name == "verify" and getattr(CHECKS.get(argv[1]), "process", None)
-    if simulates and "--reps" not in argv:
-        # the entries' default reps are sized for real runs; an entry that
-        # simulates nothing refuses --reps
+    names = {a.option_strings[-1] for a in own}
+    # the entries' default reps are sized for real runs
+    if "--reps" in names and "--reps" not in argv:
         argv += ["--reps", "200"]
-    if name in ("verify", "simulate") and "--n" not in argv:
+    if "--seed" in names and "--n" not in argv:
         argv += ["--n", "20"]
-    return argv
+    foreign = draw(st.integers(0, 4)) == 0  # one argv in five
+    if foreign:
+        other = sorted(set(ALL_FLAGS) - names)
+        argv += flag_and_value(draw, ALL_FLAGS[draw(st.sampled_from(other))])
+    return argv, foreign
 
 
 def rows_of(out: str, argv: list[str]) -> list[dict]:
@@ -84,7 +98,8 @@ def rows_of(out: str, argv: list[str]) -> list[dict]:
 
 @settings(max_examples=60, deadline=None)
 @given(argvs())
-def test_fuzzed_argv_keeps_exit_code_contract(argv):
+def test_fuzzed_argv_keeps_exit_code_contract(drawn):
+    argv, foreign = drawn
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -94,6 +109,8 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error:")
         return
+    # a flag that only another process or verify id reads is never ignored
+    assert not foreign
     assert lines == []
     unsatisfied = [row for row in rows_of(out.getvalue(), argv)
                    if str(row.get("satisfied", True)) == "False"]
