@@ -36,11 +36,12 @@ def parse_real(text: str) -> float:
 
 
 def parse_real_list(text: str) -> list[float]:
-    """Parse comma-separated reals, skipping empty items; a list with no
-    numbers is refused."""
+    """Parse comma-separated reals, skipping empty items.  A list with no
+    numbers raises argparse.ArgumentTypeError, whose message the parser
+    prints as the reason."""
     values = [parse_real(part) for part in text.split(",") if part.strip()]
     if not values:
-        raise ValueError(f"no numbers in list {text!r}")
+        raise argparse.ArgumentTypeError(f"no numbers in list {text!r}")
     return values
 
 
@@ -56,7 +57,8 @@ def _default_seed() -> int:
 
 
 def parse_a_grid(text: str) -> tuple[float, ...]:
-    """Parse --a-grid: "default" for DEFAULT_A_GRID, or comma-separated reals."""
+    """Parse --a-grid: "default" for DEFAULT_A_GRID, or comma-separated reals
+    as parse_real_list parses them."""
     return DEFAULT_A_GRID if text == "default" else tuple(parse_real_list(text))
 
 
@@ -152,7 +154,7 @@ def _config_value(action: argparse.Action, key: str, value):
         raise ValueError(f"config key {key!r} takes {takes}, got {json.dumps(value)}")
     try:
         parsed = action.type(str(value)) if action.type else value
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
     if action.choices is not None and parsed not in action.choices:
         choices = ", ".join(map(repr, action.choices))
@@ -299,9 +301,12 @@ def _keep_own_fields(args: argparse.Namespace, process: str) -> None:
 def run_check(args: argparse.Namespace, check_id: str) -> int:
     """Evaluate one entry of the verification table and emit its rows."""
     check = montecarlo.CHECKS[check_id]
+    if check.process is not None:
+        # the JSON header names the process that runs
+        args.process = args.process or check.process
     if check.any_process:
         # this id's parser takes the fields of every process, each unset as None
-        _keep_own_fields(args, args.process or check.process)
+        _keep_own_fields(args, args.process)
     rows = montecarlo.verify(check, args)
     _emit(rows, args)
     return 0 if all(row["satisfied"] for row in rows) else 1

@@ -1,9 +1,11 @@
 """Monte Carlo tail estimation and the table of checks behind ``selfnorm verify``.
 
-Replicates are simulated in fixed-size chunks whose contents depend only on
-(spec, seed, replicate index), because every replicate draws from its own
-Philox stream; chunk results are concatenated in chunk order, so every
-estimate is the same for any chunk size.
+Every replicate draws from its own Philox stream, so its finals depend only
+on (spec, seed, replicate index).  ``simulate_finals`` cuts the replicates
+into stripes of whole 64-replicate groups, one per usable CPU: this process
+simulates the first and a forked child each other one, each stripe in
+chunks, and the results are concatenated in replicate order.  So every
+estimate is the same for any chunk size and any number of processes.
 
 Each verification is one ``CHECKS`` entry.  A tail or coverage entry holds
 its event as a function of the run and the level; ``event_indicator``
@@ -15,6 +17,8 @@ expectation row reduces its per-replicate values with
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -44,10 +48,11 @@ __all__ = [
     "verify",
 ]
 
-# Replicates per simulation chunk.  CHUNK bounds the replicates and
-# processes.TILE the columns of the uniforms drawn at once, so one tile holds
-# at most CHUNK x TILE x 8 B = 8 MiB, plus the 128 KB block a group of 64
-# replicates is drawn in.
+# Replicates per simulation chunk, shared by the W processes that run a
+# simulate_finals call, each stepping CHUNK // W at a time.  CHUNK bounds the
+# replicates and processes.TILE the columns of the uniforms drawn at once, so
+# their tiles hold at most CHUNK x TILE x 8 B = 8 MiB together, plus per
+# process the 128 KB block a group of 64 replicates is drawn in.
 CHUNK = 4096
 
 # Fewest replicates an estimate accepts.
@@ -100,18 +105,73 @@ def summarize_indicators(indicators: np.ndarray, alpha: float) -> MCEstimate:
     )
 
 
+def _workers(n_samples: int) -> int:
+    """One process per usable CPU, at most one per group of 64 replicates; 1
+    without os.fork, or while another thread runs (a fork can deadlock it)."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_samples // processes._GROUP)) if forks else 1
+
+
+def _chunks(spec: ProcessSpec, seed: int, lo: int, hi: int, w: int) -> list[dict]:
+    step = max(1, CHUNK // w)
+    # processes.finals is looked up at call time, so a profiler may rebind it
+    return [processes.finals(spec, seed, a, min(a + step, hi)) for a in range(lo, hi, step)]
+
+
+def _child(fds: tuple[int, int], spec: ProcessSpec, seed: int, lo: int, hi: int, w: int):
+    """A forked worker: pipe the finals of replicates lo..hi-1, key after key,
+    and exit 0, or a ValueError's or MemoryError's message and exit 1 or 2.
+    It never returns into the caller and writes to no other file."""
+    code = 3
+    try:
+        os.close(fds[0])
+        with open(fds[1], "wb") as pipe:
+            try:
+                parts = _chunks(spec, seed, lo, hi, w)
+                pipe.writelines(p[k] for k in parts[0] for p in parts)
+                status = 0
+            except (ValueError, MemoryError) as exc:
+                pipe.write(str(exc).encode())
+                status = 1 if isinstance(exc, ValueError) else 2
+        code = status  # only once the pipe is flushed and closed
+    finally:
+        os._exit(code)
+
+
 def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, np.ndarray]:
-    """End-of-horizon summaries for n_samples replicates, simulated in chunks
-    and concatenated in chunk order.
+    """End-of-horizon summaries for n_samples replicates in replicate order,
+    from stripes of whole 64-replicate groups (see the module docstring).
 
     A non-finite summary (an overflowed or 0/0 statistic) is a configuration
     error, never a sample: it raises ValueError naming each such key.
     """
-    # processes.finals is looked up at call time, so a profiler may rebind it
-    parts = [
-        processes.finals(spec, seed, lo, min(lo + CHUNK, n_samples))
-        for lo in range(0, n_samples, CHUNK)
-    ]
+    w, group = _workers(n_samples), processes._GROUP
+    cuts = [n_samples * i // w // group * group for i in range(w)] + [n_samples]
+    children = {}  # pid: the read end of its pipe, in stripe order
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            fds = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(fds, spec, seed, lo, hi, w)
+            os.close(fds[1])
+            children[pid] = open(fds[0], "rb")
+        parts = _chunks(spec, seed, 0, cuts[1], w)
+        for (pid, pipe), lo, hi in zip(list(children.items()), cuts[1:], cuts[2:]):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code in (1, 2):
+                raise (ValueError, MemoryError)[code - 1](data.decode())
+            if code != 0 or len(data) != 8 * len(parts[0]) * (hi - lo):
+                raise RuntimeError(f"simulation worker {pid} failed with exit status {code}")
+            parts.append(dict(zip(parts[0], np.frombuffer(data).reshape(-1, hi - lo))))
+    finally:
+        for pid, pipe in children.items():
+            import signal  # loaded only when a stripe has failed
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     out = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     require_finite(out, f"finals of {spec} over {n_samples} replicates")
     return out

@@ -899,3 +899,26 @@ class TestSimulateStreaming:
         assert_one_error_line(main(argv + ["--out", str(path)]), capsys.readouterr())
         assert not path.exists()
         assert_one_error_line(main(argv), capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hermite", "--a-grid", ","], "--a-grid"),
+    (["verify", "idla-sqrt", "--x-grid", ","], "--x-grid"),
+])
+def test_empty_list_flag_keeps_its_reason(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err == f"error: argument {flag}: no numbers in list ','\n"
+
+
+@pytest.mark.parametrize(
+    "check_id", [c for c, check in CHECKS.items() if check.process is not None]
+)
+def test_json_header_names_the_process_that_ran(capsys, check_id):
+    # without --process, the entry's own process runs and the header says so
+    argv = ["verify", check_id, "--n", "10", "--reps", "100", "--seed", "3", "--format", "json"]
+    _, out = run(capsys, *argv)
+    assert json.loads(out)["header"]["config"]["process"] == CHECKS[check_id].process
+    given = run(capsys, *argv, "--process", CHECKS[check_id].process)
+    assert given == run(capsys, *argv)

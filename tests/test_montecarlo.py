@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from selfnorm import montecarlo
+from selfnorm import cli, montecarlo, processes
 from selfnorm.bounds import exp_tail_bound
 from selfnorm.martingale import supermartingale_weight
 from selfnorm.montecarlo import (
@@ -17,10 +23,11 @@ from selfnorm.montecarlo import (
     summarize_indicators,
     verify,
 )
-from selfnorm.processes import IDLASpec, idla_exact_moments
+from selfnorm.processes import AR1Spec, IDLASpec, LearnSpec, idla_exact_moments
 
 
 IDLA = IDLASpec(n=50)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def params(**overrides):
@@ -178,3 +185,147 @@ class TestVerify:
         # a bound outside the dominating set never fails the row
         both = {"zero": lambda run, x: 0.0, "loose": lambda run, x: 1.0}
         assert self.tail_row(both, ("loose",))["satisfied"]
+
+
+FAN_OUT_SPECS = {"ar1": AR1Spec(n=40), "idla": IDLASpec(n=40), "learn": LearnSpec(n=40)}
+
+
+def force_workers(monkeypatch, w):
+    """Run simulate_finals on w processes, at most one per group of 64."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda n_samples: max(1, min(w, n_samples // 64)))
+
+
+def bits(finals):
+    """Each array's raw bits, so NaNs compare by position and payload."""
+    return {key: values.view(np.uint64) for key, values in finals.items()}
+
+
+def assert_bit_equal(a, b):
+    assert list(a) == list(b)
+    for key in a:
+        assert np.array_equal(bits(a)[key], bits(b)[key]), key
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("process", sorted(FAN_OUT_SPECS))
+    @pytest.mark.parametrize("reps", [100, 127, 128, 129, 4097, 8255])
+    def test_every_worker_count_gives_the_same_bits(self, monkeypatch, process, reps):
+        spec = FAN_OUT_SPECS[process]
+        whole = processes.finals(spec, 11, 0, reps)
+        for w in (1, 2, 3):
+            force_workers(monkeypatch, w)
+            assert_bit_equal(simulate_finals(spec, 11, reps), whole)
+
+    def test_non_finite_values_keep_their_positions(self, monkeypatch):
+        # an explosive AR(1) overflows to inf and then NaN; with the check
+        # off, every worker count sends back the same bits
+        monkeypatch.setattr(montecarlo, "require_finite", lambda arrays, what: None)
+        spec = AR1Spec(theta=3.0, n=1000)
+        whole = processes.finals(spec, 5, 0, 200)
+        assert np.isnan(whole["theta_hat"]).any()
+        for w in (1, 2, 3):
+            force_workers(monkeypatch, w)
+            assert_bit_equal(simulate_finals(spec, 5, 200), whole)
+
+    def test_workers_follow_the_cpus_and_the_groups(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert [montecarlo._workers(n) for n in (100, 127, 128, 191, 192, 10**6)] == [1, 1, 2, 2, 3, 4]
+
+    def test_no_fork_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert montecarlo._workers(10**6) == 1
+
+    def test_pinned_to_one_cpu_prints_the_same_bytes(self):
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        if len(cpus) < 2:
+            pytest.skip("this test process may run on only one CPU, so pinning changes nothing")
+        argv = [sys.executable, "-m", "selfnorm.cli", "verify", "learn-threshold",
+                "--n", "300", "--reps", "4200", "--seed", "3"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        free = subprocess.run(argv, env=env, capture_output=True, check=False)
+        pinned = subprocess.run(
+            argv, env=env, capture_output=True, check=False,
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpus[0]}),
+        )
+        assert (free.returncode, free.stderr) == (0, b"")
+        assert (pinned.returncode, pinned.stderr, pinned.stdout) == (0, b"", free.stdout)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_children(monkeypatch, exc):
+    """Make processes.finals raise exc on every block but the caller's, whose
+    stripe alone starts at replicate 0."""
+    finals = processes.finals
+
+    def failing(spec, seed, rep_lo, rep_hi):
+        if rep_lo > 0:
+            raise exc
+        return finals(spec, seed, rep_lo, rep_hi)
+
+    monkeypatch.setattr(processes, "finals", failing)
+
+
+class TestNoChildLeft:
+    def test_success_reaps_every_child(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        simulate_finals(IDLA, seed=2, n_samples=1000)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_child_error_is_raised_again(self, monkeypatch, error):
+        force_workers(monkeypatch, 2)
+        fail_in_children(monkeypatch, error("no such replicate"))
+        with pytest.raises(error, match="^no such replicate$"):
+            simulate_finals(IDLA, seed=2, n_samples=1000)
+        assert_no_child_left()
+
+    def test_child_value_error_exits_2_with_one_line(self, monkeypatch, capsys):
+        force_workers(monkeypatch, 2)
+        fail_in_children(monkeypatch, ValueError("no such replicate"))
+        code = cli.main(["verify", "idla-scaled", "--n", "30", "--reps", "1000", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: no such replicate\n")
+        assert_no_child_left()
+
+    def test_other_child_failure_names_its_exit_status(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        fail_in_children(monkeypatch, KeyError("lost"))
+        with pytest.raises(RuntimeError, match="exit status 3$"):
+            simulate_finals(IDLA, seed=2, n_samples=1000)
+        assert_no_child_left()
+
+    def test_failing_caller_kills_and_reaps_every_child(self, monkeypatch):
+        def caller_fails(spec, seed, rep_lo, rep_hi):
+            if rep_lo == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child that would outlive the test unless killed
+            raise AssertionError("not reached")
+
+        force_workers(monkeypatch, 3)
+        monkeypatch.setattr(processes, "finals", caller_fails)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simulate_finals(IDLA, seed=2, n_samples=1000)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_no_fork_from_a_threaded_caller(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        results = []
+        thread = threading.Thread(target=lambda: results.append(simulate_finals(IDLA, 2, 1000)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == [] and len(results) == 1
+        assert_bit_equal(results[0], processes.finals(IDLA, 2, 0, 1000))
+        # on the main thread the same call forks one child per extra CPU
+        simulate_finals(IDLA, 2, 1000)
+        assert forks == [1]
+        assert_no_child_left()
