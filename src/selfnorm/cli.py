@@ -8,14 +8,16 @@ is detected, 2 on invalid configuration or usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import __version__, bounds, montecarlo
 from .bounds import TABLE1
@@ -23,7 +25,8 @@ from .processes import PROCESSES, ProcessTrace, make_spec, simulate, trace_to_cs
 
 DEFAULT_A_GRID = (0.13, 0.2, 1 / 3, 9 / 16, 1.0, 2.0, 10.0)
 
-# Rows of simulate output rendered and written at a time.
+# Rows of simulate output rendered and written at a time, and the unit of
+# work montecarlo.fan_out hands to a process.
 WRITE_ROWS = 1024
 
 
@@ -246,20 +249,13 @@ def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
 _JSON_TRACE_ROW = '{\n      "m": %r,\n      "pqv": %r,\n      "qv": %r,\n      "step": %d\n    }'
 
 
-def _trace_json(trace: ProcessTrace, args: argparse.Namespace) -> Iterator[str]:
-    """The JSON document of a trace, with its rows rebuilt and rendered
-    WRITE_ROWS at a time."""
-    # "rows" sorts after "header", so the placeholder is the document's last value
-    placeholder = "ROWS"
-    head, _, tail = _dumps(_json_doc([placeholder], args)).rpartition(json.dumps(placeholder))
-    yield head
-    for lo in range(0, trace.spec.n + 1, WRITE_ROWS):
-        hi = lo + WRITE_ROWS
-        values = trace.columns(lo, hi)
-        rows = zip(values["m"].tolist(), values["pqv"].tolist(), values["qv"].tolist(), range(lo, hi))
-        block = ",\n    ".join(_JSON_TRACE_ROW % row for row in rows)
-        yield block if lo == 0 else ",\n    " + block
-    yield tail
+def _json_rows(trace: ProcessTrace, lo: int) -> str:
+    """Rows lo..lo+WRITE_ROWS-1 of a trace's JSON document, after a separator unless lo is 0."""
+    hi = lo + WRITE_ROWS
+    values = trace.columns(lo, hi)
+    rows = zip(values["m"].tolist(), values["pqv"].tolist(), values["qv"].tolist(), range(lo, hi))
+    block = ",\n    ".join(_JSON_TRACE_ROW % row for row in rows)
+    return block if lo == 0 else ",\n    " + block
 
 
 def run_weights(args: argparse.Namespace) -> int:
@@ -272,15 +268,21 @@ def run_weights(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
-    """Simulate one trace and write it WRITE_ROWS rows at a time, so no more
-    than one block of its text is held at once."""
+    """Simulate one trace and write it WRITE_ROWS rows at a time, each block
+    rendered by one of montecarlo.fan_out's processes, so the text held at
+    once does not grow with the horizon."""
     spec = make_spec(args.process, args)
     trace = simulate(spec, args.seed)
     if args.format == "csv":
-        blocks = range(0, trace.spec.n + 1, WRITE_ROWS)
-        _write((trace_to_csv(trace, lo, lo + WRITE_ROWS) for lo in blocks), args)
+        head, tail, render = "", "", lambda lo: trace_to_csv(trace, lo, lo + WRITE_ROWS)
     else:
-        _write(_trace_json(trace, args), args)
+        # "rows" sorts after "header", so the placeholder is the document's last value
+        placeholder = "ROWS"
+        head, _, tail = _dumps(_json_doc([placeholder], args)).rpartition(json.dumps(placeholder))
+        render = lambda lo: _json_rows(trace, lo)
+    blocks = montecarlo.fan_out(lambda lo: render(lo).encode(), range(0, spec.n + 1, WRITE_ROWS))
+    with contextlib.closing(blocks):
+        _write(itertools.chain([head], map(bytes.decode, blocks), [tail]), args)
     return 0
 
 

@@ -2,10 +2,12 @@
 
 Every replicate draws from its own Philox stream, so its finals depend only
 on (spec, seed, replicate index).  ``simulate_finals`` cuts the replicates
-into stripes of whole 64-replicate groups, one per usable CPU: this process
-simulates the first and a forked child each other one, each stripe in
-chunks, and the results are concatenated in replicate order.  So every
-estimate is the same for any chunk size and any number of processes.
+into stripes of whole 64-replicate groups, one per usable CPU, and
+``fan_out`` simulates the first in this process and each other one in a
+forked child, each stripe in chunks; the results are concatenated in
+replicate order.  So every estimate is the same for any chunk size and any
+number of processes.  ``selfnorm simulate`` renders its row blocks through
+the same ``fan_out``.
 
 Each verification is one ``CHECKS`` entry.  A tail or coverage entry holds
 its event as a function of the run and the level; ``event_indicator``
@@ -21,7 +23,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +42,7 @@ __all__ = [
     "ExpectationEstimate",
     "hoeffding_epsilon",
     "summarize_indicators",
+    "fan_out",
     "simulate_finals",
     "event_indicator",
     "estimate_expectation",
@@ -105,37 +108,79 @@ def summarize_indicators(indicators: np.ndarray, alpha: float) -> MCEstimate:
     )
 
 
-def _workers(n_samples: int) -> int:
-    """One process per usable CPU, at most one per group of 64 replicates; 1
-    without os.fork, or while another thread runs (a fork can deadlock it)."""
+def _cpus() -> int:
+    """Usable CPUs; 1 without fork or sched_getaffinity in os, or while
+    another thread runs (a fork can deadlock it)."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_samples // processes._GROUP)) if forks else 1
+    return len(os.sched_getaffinity(0)) if forks else 1
 
 
-def _chunks(spec: ProcessSpec, seed: int, lo: int, hi: int, w: int) -> list[dict]:
-    step = max(1, CHUNK // w)
-    # processes.finals is looked up at call time, so a profiler may rebind it
-    return [processes.finals(spec, seed, a, min(a + step, hi)) for a in range(lo, hi, step)]
+def _workers(n_samples: int) -> int:
+    """One process per usable CPU, at most one per group of 64 replicates."""
+    return max(1, min(_cpus(), n_samples // processes._GROUP))
 
 
-def _child(fds: tuple[int, int], spec: ProcessSpec, seed: int, lo: int, hi: int, w: int):
-    """A forked worker: pipe the finals of replicates lo..hi-1, key after key,
-    and exit 0, or a ValueError's or MemoryError's message and exit 1 or 2.
-    It never returns into the caller and writes to no other file."""
+def _serve(fds: tuple[int, int], work: Callable, items: Sequence):
+    """A forked worker: pipe a frame per item, kind 0 and work(item), or kind
+    1 or 2 and a ValueError's or MemoryError's message and stop.  It never
+    returns into the caller and writes to no other file."""
     code = 3
     try:
         os.close(fds[0])
         with open(fds[1], "wb") as pipe:
-            try:
-                parts = _chunks(spec, seed, lo, hi, w)
-                pipe.writelines(p[k] for k in parts[0] for p in parts)
-                status = 0
-            except (ValueError, MemoryError) as exc:
-                pipe.write(str(exc).encode())
-                status = 1 if isinstance(exc, ValueError) else 2
-        code = status  # only once the pipe is flushed and closed
+            for item in items:
+                try:
+                    kind, data = 0, work(item)
+                except (ValueError, MemoryError) as exc:
+                    kind, data = 1 if isinstance(exc, ValueError) else 2, str(exc).encode()
+                # a frame: its kind, its length as 8 bytes, and its bytes
+                pipe.writelines([bytes([kind]), len(data).to_bytes(8, "little"), data])
+                pipe.flush()  # the caller waits for the whole frame
+                if kind:
+                    break
+        code = 0  # only once the pipe is flushed and closed
     finally:
         os._exit(code)
+
+
+def fan_out(work: Callable[..., bytes], items: Sequence, w: int | None = None) -> Iterator[bytes]:
+    """Yield work(item), a bytes object, for each of items in order.  Item i
+    runs in process i % W, W = min(w, len(items)), w defaulting to the
+    usable CPUs: 0 is this process, and each other a forked child that pipes
+    back frames and, blocked while its pipe is full, runs one item ahead at
+    most.  A child's ValueError or MemoryError is raised again here, other
+    failures as RuntimeError; every child is killed and reaped once the
+    generator ends, fails or is closed."""
+    w = min(_cpus() if w is None else w, len(items))
+    children = {}  # pid: the read end of its pipe, in process order
+    try:
+        for j in range(1, w):
+            fds = os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(fds, work, items[j::w])
+            os.close(fds[1])
+            children[pid] = open(fds[0], "rb")
+        for i, item in enumerate(items):
+            if i % w == 0:
+                yield work(item)
+                continue
+            pid = list(children)[i % w - 1]
+            head = children[pid].read(9)
+            size = int.from_bytes(head[1:], "little")
+            data = children[pid].read(size) if len(head) == 9 else b""
+            if len(head) < 9 or len(data) < size:  # the child has stopped
+                children.pop(pid).close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"simulation worker {pid} failed with exit status {code}")
+            if head[0]:
+                raise (ValueError, MemoryError)[head[0] - 1](data.decode())
+            yield data
+    finally:
+        for pid, pipe in children.items():
+            import signal  # loaded only once a child has run
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, np.ndarray]:
@@ -147,32 +192,19 @@ def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, n
     """
     w, group = _workers(n_samples), processes._GROUP
     cuts = [n_samples * i // w // group * group for i in range(w)] + [n_samples]
-    children = {}  # pid: the read end of its pipe, in stripe order
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            fds = os.pipe()
-            if (pid := os.fork()) == 0:
-                _child(fds, spec, seed, lo, hi, w)
-            os.close(fds[1])
-            children[pid] = open(fds[0], "rb")
-        parts = _chunks(spec, seed, 0, cuts[1], w)
-        for (pid, pipe), lo, hi in zip(list(children.items()), cuts[1:], cuts[2:]):
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code in (1, 2):
-                raise (ValueError, MemoryError)[code - 1](data.decode())
-            if code != 0 or len(data) != 8 * len(parts[0]) * (hi - lo):
-                raise RuntimeError(f"simulation worker {pid} failed with exit status {code}")
-            parts.append(dict(zip(parts[0], np.frombuffer(data).reshape(-1, hi - lo))))
-    finally:
-        for pid, pipe in children.items():
-            import signal  # loaded only when a stripe has failed
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    out = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    step = max(1, CHUNK // w)
+
+    def stripe(cut: tuple[int, int]) -> bytes:
+        # a line of the keys, then each key's values over replicates cut[0]..
+        # cut[1]-1; processes.finals is looked up here, so a profiler may rebind it
+        parts = [processes.finals(spec, seed, a, min(a + step, cut[1])) for a in range(*cut, step)]
+        keys = " ".join(parts[0]).encode() + b"\n"
+        return b"".join([keys, *(p[k] for k in parts[0] for p in parts)])
+
+    frames = list(fan_out(stripe, list(zip(cuts, cuts[1:])), w))
+    keys = frames[0][: frames[0].index(b"\n")].decode().split()
+    columns = [np.frombuffer(f, offset=f.index(b"\n") + 1).reshape(len(keys), -1) for f in frames]
+    out = {k: np.concatenate([c[i] for c in columns]) for i, k in enumerate(keys)}
     require_finite(out, f"finals of {spec} over {n_samples} replicates")
     return out
 

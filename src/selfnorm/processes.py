@@ -47,6 +47,7 @@ A tile is stored replicate-minor (Fortran order), so each step of
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -60,6 +61,10 @@ TILE = 256
 # Replicates that share a Philox key, their runs adjacent within each tile.
 # Part of the stream definition.
 _GROUP = 64
+
+# Each thread's Philox, Generator and state dict, built by uniform_rows on
+# first use; it assigns the whole state before every draw.
+_philox = threading.local()
 
 __all__ = [
     "AR1Spec",
@@ -288,15 +293,16 @@ def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0
         raise ValueError(f"col_lo must be a non-negative multiple of TILE = {TILE}, got {col_lo}")
     out = np.empty((rep_hi - rep_lo, cols), order="F")
     block = np.empty(_GROUP * 4 * -(-min(TILE, cols) // 4))
-    bitgen = np.random.Philox(key=[seed, 0])
-    gen = np.random.Generator(bitgen)
-    # the fresh state of this instance; its name must match the bit
-    # generator's class, so it is read, not written out.  Its fields are set
-    # as lists, which the state setter takes several times faster than arrays.
-    state = bitgen.state
+    if not hasattr(_philox, "draws"):
+        bitgen = np.random.Philox(key=[0, 0])
+        # read, as its name must match the class; fields set as lists, which
+        # the state setter takes several times faster than arrays
+        state = bitgen.state
+        state["buffer"] = [0, 0, 0, 0]
+        _philox.draws = bitgen, np.random.Generator(bitgen), state
+    bitgen, gen, state = _philox.draws
     key, counter = [seed, 0], [0, 0, 0, 0]
     state["state"] = {"counter": counter, "key": key}
-    state["buffer"] = [0, 0, 0, 0]
     for lo in range(0, cols, TILE):
         w = min(TILE, cols - lo)
         q = -(-w // 4)

@@ -1,8 +1,14 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +18,8 @@ from selfnorm.bounds import TABLE1
 from selfnorm import montecarlo
 from selfnorm.processes import PROCESSES, make_spec, simulate
 from selfnorm.montecarlo import CHECKS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -922,3 +930,137 @@ def test_json_header_names_the_process_that_ran(capsys, check_id):
     assert json.loads(out)["header"]["config"]["process"] == CHECKS[check_id].process
     given = run(capsys, *argv, "--process", CHECKS[check_id].process)
     assert given == run(capsys, *argv)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+class TestRenderFanOut:
+    """simulate renders its row blocks on W processes, block i in process
+    i % W, and writes the same bytes for every W."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4 * 1024 + 1])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("process", ["ar1", "idla", "learn"])
+    def test_bytes_do_not_depend_on_the_process_count(
+        self, capsys, tmp_path, monkeypatch, process, fmt, n
+    ):
+        argv = ["simulate", process, "--n", str(n), "--seed", "6", "--format", fmt]
+        blocks = -(-(n + 1) // cli.WRITE_ROWS)
+        forks = count_forks(monkeypatch)
+        outputs = []
+        for w in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: w)
+            forks.clear()
+            code, out = run(capsys, *argv)
+            path = tmp_path / f"trace{w}"
+            assert (code, main(argv + ["--out", str(path)])) == (0, 0)
+            assert len(forks) == 2 * (min(w, blocks) - 1)
+            outputs += [out.encode(), path.read_bytes()]
+        assert outputs == outputs[:1] * 6
+        assert_no_child_left()
+
+    def test_pinned_to_one_cpu_prints_the_same_bytes(self):
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        if len(cpus) < 2:
+            pytest.skip("this test process may run on only one CPU, so pinning changes nothing")
+        argv = [sys.executable, "-m", "selfnorm.cli", "simulate", "learn", "--n", "5000",
+                "--seed", "3"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        free = subprocess.run(argv, env=env, capture_output=True, check=False)
+        pinned = subprocess.run(
+            argv, env=env, capture_output=True, check=False,
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpus[0]}),
+        )
+        assert (free.returncode, free.stderr) == (0, b"")
+        assert (pinned.returncode, pinned.stderr, pinned.stdout) == (0, b"", free.stdout)
+
+    def fail_in_children(self, monkeypatch, exc):
+        """Make every block that a child renders, an odd one of two
+        processes, raise exc."""
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        trace_to_csv = cli.trace_to_csv
+
+        def failing(trace, lo, hi):
+            if lo // cli.WRITE_ROWS % 2:
+                raise exc
+            return trace_to_csv(trace, lo, hi)
+
+        monkeypatch.setattr(cli, "trace_to_csv", failing)
+
+    def test_child_memory_error_exits_2_with_one_line(self, capsys, monkeypatch):
+        self.fail_in_children(monkeypatch, MemoryError("no room"))
+        code = main(["simulate", "ar1", "--n", "5000"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "error: out of memory: no room\n")
+        assert_no_child_left()
+
+    def test_other_child_failure_names_its_exit_status(self, monkeypatch):
+        self.fail_in_children(monkeypatch, KeyError("lost"))
+        with pytest.raises(RuntimeError, match="exit status 3$"):
+            main(["simulate", "ar1", "--n", "5000"])
+        assert_no_child_left()
+
+    def test_closed_stdout_exits_2_and_reaps_every_child(self, capsys, monkeypatch):
+        class ClosedAfterOneBlock(io.StringIO):
+            def writelines(self, chunks):
+                for i, chunk in enumerate(chunks):
+                    if i == 2:
+                        raise BrokenPipeError(32, "Broken pipe")
+                    self.write(chunk)
+
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+        forks = count_forks(monkeypatch)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", ClosedAfterOneBlock())
+        argv = ["simulate", "ar1", "--n", "100000", "--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert len(forks) == 2
+        assert_no_child_left()
+        # the children are reaped while the error's traceback still holds
+        # run_simulate's frame, not when that frame is freed
+        with pytest.raises(BrokenPipeError) as caught:
+            cli.run_simulate(cli._parse_args(argv))
+        assert_no_child_left()
+        assert caught.traceback
+
+    def test_closed_stdout_pipe_exits_2_with_one_line(self):
+        argv = [sys.executable, "-m", "selfnorm.cli", "simulate", "ar1", "--n", "100000"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"step,m,qv,pqv,x,theta_hat\r\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b"error: [Errno 32] Broken pipe\n"
+
+    def test_no_fork_from_a_threaded_caller(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = count_forks(monkeypatch)
+        argv = ["simulate", "learn", "--n", "5000", "--seed", "8", "--out"]
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(argv + [str(tmp_path / "t")])))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == [] and codes == [0]
+        # on the main thread the same command forks one child per extra CPU
+        assert main(argv + [str(tmp_path / "m")]) == 0
+        assert forks == [1]
+        assert (tmp_path / "t").read_bytes() == (tmp_path / "m").read_bytes()
+        assert_no_child_left()

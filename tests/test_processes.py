@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from selfnorm import processes
+from selfnorm import montecarlo, processes
 from selfnorm.bounds import weight_c
 from selfnorm.martingale import s_weighted
 from selfnorm.processes import (
@@ -141,8 +144,9 @@ class TestRng:
         assert rows.flags.f_contiguous
         assert rows.T.flags.c_contiguous
 
-    def test_one_bit_generator_per_block(self, monkeypatch):
-        expected = uniform_rows(3, 0, 300, 20)
+    def test_one_bit_generator_per_thread(self, monkeypatch):
+        requests = [(3, 0, 300, 20, 0), (4, 70, 90, 600, processes.TILE), (3, 0, 300, 20, 0)]
+        expected = [uniform_rows(*request).tobytes() for request in requests]
         built = []
 
         class CountingPhilox(np.random.Philox):
@@ -151,9 +155,48 @@ class TestRng:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", CountingPhilox)
-        rows = uniform_rows(3, 0, 300, 20)
+        drawn = []
+        # a new thread builds its own instance on first use, and reuses it
+        thread = threading.Thread(
+            target=lambda: drawn.extend(uniform_rows(*request).tobytes() for request in requests)
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
         assert len(built) == 1
-        assert rows.tobytes() == expected.tobytes()
+        assert drawn == expected
+
+    def test_threads_drawing_at_once_get_the_serial_bits(self):
+        requests = [(seed, 60 * seed, 60 * seed + 70, 300, 0) for seed in range(40)]
+        expected = [uniform_rows(*request).tobytes() for request in requests]
+        drawn = {}
+        start = threading.Barrier(4)
+
+        def draw(t):
+            start.wait()
+            drawn[t] = [uniform_rows(*request).tobytes() for request in requests[t::4]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(4):
+            assert drawn[t] == expected[t::4]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_children_draw_the_same_bits(self):
+        # the children inherit this thread's bit generator, already used
+        requests = [(seed, 100, 300, 2 * processes.TILE + 3, 0) for seed in range(6)]
+        expected = [uniform_rows(*request).tobytes() for request in requests]
+        work = lambda request: uniform_rows(*request).tobytes()
+        assert list(montecarlo.fan_out(work, requests, 3)) == expected
 
     @pytest.mark.parametrize("tile", [4, 8, processes.TILE, 1024])
     def test_tiles_join_into_full_draw(self, tile, monkeypatch):
