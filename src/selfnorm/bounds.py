@@ -285,7 +285,10 @@ def ar_rate(a: float, p: float) -> float:
     if not 0.0 < p <= 0.5:
         raise ValueError(f"p must lie in (0, 1/2], got {p}")
     q = 1.0 - p
-    return 4.0 * (q * q + p * q * c) ** 2 / (p * p + p * q * c)
+    denom = p * p + p * q * c
+    if denom == 0.0:
+        raise ValueError(f"d(a) overflows: p^2 + pq c(a) underflows to 0 at a = {a}, p = {p}")
+    return 4.0 * (q * q + p * q * c) ** 2 / denom
 
 
 def ar_bound(x: float, n: int, p: float, a: float) -> float:
@@ -403,5 +406,6 @@ def cbg_threshold(r_hat: float, n: int, delta: float) -> float:
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
     _check_delta(delta)
-    log_term = math.log((n * r_hat + 3.0) / delta)
+    # a log of each factor: their quotient overflows when delta is tiny
+    log_term = math.log(n * r_hat + 3.0) - math.log(delta)
     return r_hat + 36.0 / n * log_term + 2.0 * math.sqrt(r_hat / n * log_term)

@@ -280,9 +280,9 @@ def run_simulate(args: argparse.Namespace) -> int:
         placeholder = "ROWS"
         head, _, tail = _dumps(_json_doc([placeholder], args)).rpartition(json.dumps(placeholder))
         render = lambda lo: _json_rows(trace, lo)
-    blocks = montecarlo.fan_out(lambda lo: render(lo).encode(), range(0, spec.n + 1, WRITE_ROWS))
+    blocks = montecarlo.fan_out(render, range(0, spec.n + 1, WRITE_ROWS))
     with contextlib.closing(blocks):
-        _write(itertools.chain([head], map(bytes.decode, blocks), [tail]), args)
+        _write(itertools.chain([head], blocks, [tail]), args)
     return 0
 
 

@@ -4,10 +4,10 @@ Every replicate draws from its own Philox stream, so its finals depend only
 on (spec, seed, replicate index).  ``simulate_finals`` cuts the replicates
 into stripes of whole 64-replicate groups, one per usable CPU, and
 ``fan_out`` simulates the first in this process and each other one in a
-forked child, each stripe in chunks; the results are concatenated in
-replicate order.  So every estimate is the same for any chunk size and any
-number of processes.  ``selfnorm simulate`` renders its row blocks through
-the same ``fan_out``.
+forked child, each stripe in chunks.  A child's results cross its pipe as
+pickled values, and they are concatenated in replicate order.  So every
+estimate is the same for any chunk size and any number of processes.
+``selfnorm simulate`` renders its row blocks through the same ``fan_out``.
 
 Each verification is one ``CHECKS`` entry.  A tail or coverage entry holds
 its event as a function of the run and the level; ``event_indicator``
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -121,36 +122,37 @@ def _workers(n_samples: int) -> int:
 
 
 def _serve(fds: tuple[int, int], work: Callable, items: Sequence):
-    """A forked worker: pipe a frame per item, kind 0 and work(item), or kind
-    1 or 2 and a ValueError's or MemoryError's message and stop.  It never
-    returns into the caller and writes to no other file."""
+    """A forked worker: pickle (None, work(item)) to the pipe for each item,
+    or (exc, None) and stop, exc being a ValueError's or MemoryError's
+    message rebuilt as that base class.  It never returns into the caller
+    and writes to no other file."""
     code = 3
     try:
         os.close(fds[0])
         with open(fds[1], "wb") as pipe:
             for item in items:
                 try:
-                    kind, data = 0, work(item)
-                except (ValueError, MemoryError) as exc:
-                    kind, data = 1 if isinstance(exc, ValueError) else 2, str(exc).encode()
-                # a frame: its kind, its length as 8 bytes, and its bytes
-                pipe.writelines([bytes([kind]), len(data).to_bytes(8, "little"), data])
-                pipe.flush()  # the caller waits for the whole frame
-                if kind:
+                    exc, value = None, work(item)
+                except (ValueError, MemoryError) as error:
+                    base = ValueError if isinstance(error, ValueError) else MemoryError
+                    exc, value = base(str(error)), None
+                pickle.dump((exc, value), pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()  # the caller waits for the whole value
+                if exc is not None:
                     break
         code = 0  # only once the pipe is flushed and closed
     finally:
         os._exit(code)
 
 
-def fan_out(work: Callable[..., bytes], items: Sequence, w: int | None = None) -> Iterator[bytes]:
-    """Yield work(item), a bytes object, for each of items in order.  Item i
-    runs in process i % W, W = min(w, len(items)), w defaulting to the
-    usable CPUs: 0 is this process, and each other a forked child that pipes
-    back frames and, blocked while its pipe is full, runs one item ahead at
-    most.  A child's ValueError or MemoryError is raised again here, other
-    failures as RuntimeError; every child is killed and reaped once the
-    generator ends, fails or is closed."""
+def fan_out(work: Callable, items: Sequence, w: int | None = None) -> Iterator:
+    """Yield work(item), any picklable value, for each of items in order.
+    Item i runs in process i % W, W = min(w, len(items)), w defaulting to
+    the usable CPUs: 0 is this process, and each other a forked child that
+    pipes back pickled values and, blocked while its pipe is full, runs one
+    item ahead at most.  A child's ValueError or MemoryError is raised again
+    here, other failures as RuntimeError; every child is killed and reaped
+    once the generator ends, fails or is closed."""
     w = min(_cpus() if w is None else w, len(items))
     children = {}  # pid: the read end of its pipe, in process order
     try:
@@ -165,16 +167,16 @@ def fan_out(work: Callable[..., bytes], items: Sequence, w: int | None = None) -
                 yield work(item)
                 continue
             pid = list(children)[i % w - 1]
-            head = children[pid].read(9)
-            size = int.from_bytes(head[1:], "little")
-            data = children[pid].read(size) if len(head) == 9 else b""
-            if len(head) < 9 or len(data) < size:  # the child has stopped
+            try:
+                exc, value = pickle.load(children[pid])
+            except (EOFError, pickle.UnpicklingError):  # the child has stopped
                 children.pop(pid).close()
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise RuntimeError(f"simulation worker {pid} failed with exit status {code}")
-            if head[0]:
-                raise (ValueError, MemoryError)[head[0] - 1](data.decode())
-            yield data
+                message = f"simulation worker {pid} failed with exit status {code}"
+                raise RuntimeError(message) from None
+            if exc is not None:
+                raise exc
+            yield value
     finally:
         for pid, pipe in children.items():
             import signal  # loaded only once a child has run
@@ -194,17 +196,13 @@ def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, n
     cuts = [n_samples * i // w // group * group for i in range(w)] + [n_samples]
     step = max(1, CHUNK // w)
 
-    def stripe(cut: tuple[int, int]) -> bytes:
-        # a line of the keys, then each key's values over replicates cut[0]..
-        # cut[1]-1; processes.finals is looked up here, so a profiler may rebind it
-        parts = [processes.finals(spec, seed, a, min(a + step, cut[1])) for a in range(*cut, step)]
-        keys = " ".join(parts[0]).encode() + b"\n"
-        return b"".join([keys, *(p[k] for k in parts[0] for p in parts)])
+    def stripe(cut: tuple[int, int]) -> list[dict[str, np.ndarray]]:
+        # the finals of replicates cut[0]..cut[1]-1, a chunk at a time;
+        # processes.finals is looked up here, so a profiler may rebind it
+        return [processes.finals(spec, seed, a, min(a + step, cut[1])) for a in range(*cut, step)]
 
-    frames = list(fan_out(stripe, list(zip(cuts, cuts[1:])), w))
-    keys = frames[0][: frames[0].index(b"\n")].decode().split()
-    columns = [np.frombuffer(f, offset=f.index(b"\n") + 1).reshape(len(keys), -1) for f in frames]
-    out = {k: np.concatenate([c[i] for c in columns]) for i, k in enumerate(keys)}
+    parts = [part for chunks in fan_out(stripe, list(zip(cuts, cuts[1:])), w) for part in chunks]
+    out = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     require_finite(out, f"finals of {spec} over {n_samples} replicates")
     return out
 
@@ -372,8 +370,13 @@ def _kearns_saul_row(run, p: float) -> dict:
 def _ar_laplace_row(run, divisor: float) -> dict:
     spec = run.spec
     t = -1.0 / (divisor * spec.sigma2)
-    est = estimate_expectation(np.exp(t * run.finals["pqv"]))
     rhs = math.exp(4.0 * spec.n * t * spec.p**2 * spec.sigma2)
+    # a tiny p overflows t, and the bound is then 0 * inf
+    if not (math.isfinite(t) and math.isfinite(rhs)):
+        raise ValueError(
+            f"p is too small for the ar-laplace check: t = {t}, bound = {rhs} at p = {spec.p}"
+        )
+    est = estimate_expectation(np.exp(t * run.finals["pqv"]))
     rel_se = est.se / est.mean if est.mean > 0 else 0.0
     ok = est.mean <= rhs * (1.0 + 3.0 * rel_se)
     return {"t": t, "mc_mean": est.mean, "mc_se": est.se, "bound": rhs, "satisfied": ok}
@@ -391,12 +394,11 @@ def _supermartingale_row(run, key: tuple[float, float]) -> dict:
 
 def _coverage_check(event: Callable) -> Check:
     """A learning check: the frequency of event(run, delta) must not exceed
-    delta + epsilon."""
+    delta + epsilon, so its ci_lo, as a tail row's, must not exceed delta."""
 
     def row(run, delta: float) -> dict:
         est = summarize_indicators(event_indicator(event, run, delta), run.alpha)
-        ok = est.p_hat <= delta + hoeffding_epsilon(est.n_samples, run.alpha)
-        return {"delta": delta, **_estimate_columns(est), "satisfied": ok}
+        return {"delta": delta, **_estimate_columns(est), "satisfied": est.ci_lo <= delta}
 
     return Check("learn", 10_000, lambda run: [run.delta], row=row, flags=("a", "delta", "alpha"))
 

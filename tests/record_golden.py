@@ -183,6 +183,15 @@ CASES = [
     Case(("verify", "hermite", "--a-grid", "1000")),
     Case(("hermite", "--a-grid", "1e8")),
     Case(("verify", "ratio-tail", "--x-grid", "1e308", "--n", "30", "--reps", "200", "--seed", "3")),
+    # d(a)'s denominator p^2 + pq c(a) underflows to 0, the ar-laplace
+    # exponent t overflows, and cbg's (n r + 3) / delta would overflow
+    *(
+        Case(("verify", "ar-estimator", "--n", "10", "--reps", "100", "--seed", "3",
+              "--a", "1e150", "--p", p))
+        for p in ("5e-324", "1e-300")
+    ),
+    Case(("verify", "ar-laplace", "--n", "10", "--reps", "100", "--seed", "3", "--p", "5e-324")),
+    Case(("learning-table", "--n", "1000000000000", "--delta", "1e-300", "--r-grid", "0.5")),
 ]
 
 

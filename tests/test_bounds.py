@@ -371,6 +371,12 @@ class TestArBound:
         with pytest.raises(ValueError):
             ar_rate(1 / 3, 0.6)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-300])
+    def test_rate_whose_denominator_underflows_names_a_and_p(self, p):
+        # p^2 + pq c(a) rounds to 0, so d(a) would divide by zero
+        with pytest.raises(ValueError, match=f"a = 1e\\+150, p = {p}"):
+            ar_rate(1e150, p)
+
 
 class TestIdlaConstants:
     def test_third_closed_form(self):
@@ -481,6 +487,12 @@ class TestLearning:
         # effective horizon: 36 log(3/delta) for r_hat = 0
         assert 36 * math.log(3 / 0.2) <= 98.0
         assert cbg_threshold(0.0, 10**9, 0.2) < 1e-6
+
+    def test_cbg_is_finite_where_its_quotient_overflows(self):
+        # (n r + 3) / delta overflows to inf; its log is about 717
+        cbg = cbg_threshold(0.5, 10**12, 1e-300)
+        log_term = math.log(0.5e12 + 3.0) + 300 * math.log(10.0)
+        assert cbg == pytest.approx(0.5 + 36e-12 * log_term + 2 * math.sqrt(0.5e-12 * log_term))
 
     def test_validation(self):
         with pytest.raises(ValueError):

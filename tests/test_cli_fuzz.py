@@ -12,10 +12,13 @@ import contextlib
 import csv
 import io
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfnorm import cli
 from selfnorm.cli import main
 from test_cli import leaf_parsers
 
@@ -26,8 +29,8 @@ PATHS = sorted(LEAVES) + [("simulate", "bogus"), ("verify", "bogus")]
 # flags that write files, read files or only print usage
 SKIPPED = {"-h", "--help", "--out", "--config"}
 
-REALS = ["0", "0.05", "0.1", "1/3", "0.5", "9/16", "0.9", "1", "2", "10", "-1", "1e300",
-         "1e308", "1e400", "abc", "1/0", ""]
+REALS = ["0", "5e-324", "1e-300", "0.05", "0.1", "1/3", "0.4999999999", "0.5", "9/16", "0.9",
+         "1", "2", "10", "-1", "1e150", "1e300", "1.7e308", "1e308", "1e400", "abc", "1/0", ""]
 LISTS = ["1/3", "1/3,9/16", "0.5,1,2", "0.01", "91", "1e308", "1/3,abc", ",", ""]
 
 
@@ -114,4 +117,52 @@ def test_fuzzed_argv_keeps_exit_code_contract(drawn):
     assert lines == []
     unsatisfied = [row for row in rows_of(out.getvalue(), argv)
                    if str(row.get("satisfied", True)) == "False"]
+    assert (code == 1) == bool(unsatisfied)
+
+
+# the leaves whose rows are tables of bounds; simulate's rows are a trace
+TABLES = ("verify", "weights", "hermite", "learning-table")
+EDGES = ["5e-324", "1e-300", "1e150", "1.7e308", "0.4999999999"]
+REAL_TYPES = (cli.parse_real, cli.parse_real_list, cli.parse_a_grid)
+# held small, so the sweep runs in about a second
+SMALL = {"--reps": "100", "--seed": "3"}
+# learning-table simulates nothing, so its horizon may be huge
+HORIZONS = {("learning-table",): ("10", "1000000000000")}
+
+
+def edge_argvs():
+    for path in sorted(LEAVES):
+        flags = {a.option_strings[-1]: a for a in own_flags(path)}
+        small = [word for flag, value in SMALL.items() if flag in flags for word in (flag, value)]
+        for n in HORIZONS.get(path, ("10",)) if "--n" in flags else (None,):
+            size = small if n is None else ["--n", n, *small]
+            for flag, action in flags.items():
+                if action.type in REAL_TYPES:
+                    yield from ([*path, *size, flag, value] for value in EDGES)
+
+
+def _is_real(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("argv", edge_argvs(), ids=" ".join)
+def test_real_flag_at_the_edge_of_the_floats(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        return
+    assert lines == []
+    rows = rows_of(out.getvalue(), argv)
+    if argv[0] in TABLES:
+        cells = [cell for row in rows for cell in row.values()]
+        assert all(math.isfinite(float(cell)) for cell in cells if _is_real(cell)), rows
+    unsatisfied = [row for row in rows if str(row.get("satisfied", True)) == "False"]
     assert (code == 1) == bool(unsatisfied)

@@ -186,6 +186,21 @@ class TestVerify:
         both = {"zero": lambda run, x: 0.0, "loose": lambda run, x: 1.0}
         assert self.tail_row(both, ("loose",))["satisfied"]
 
+    def test_coverage_pass_rule(self):
+        # 300 events in 1000 replicates: ci_lo is held against delta, as a
+        # tail row holds it against a bound
+        check = montecarlo._coverage_check(lambda run, delta: run.indicators)
+        run = SimpleNamespace(indicators=np.arange(1000) < 300, alpha=0.05)
+        ci_lo = check.row(run, 0.3)["ci_lo"]
+        assert ci_lo == 0.3 - hoeffding_epsilon(1000, 0.05)
+        assert check.row(run, ci_lo)["satisfied"]
+        assert not check.row(run, np.nextafter(ci_lo, 0.0))["satisfied"]
+
+    def test_ar_laplace_overflow_names_p(self):
+        # t = -1/(divisor sigma^2) overflows to -inf, and the bound is nan
+        with pytest.raises(ValueError, match="at p = 5e-324$"):
+            verify(CHECKS["ar-laplace"], params(p=5e-324, n=10, reps=100, seed=3))
+
 
 FAN_OUT_SPECS = {"ar1": AR1Spec(n=40), "idla": IDLASpec(n=40), "learn": LearnSpec(n=40)}
 
@@ -249,6 +264,44 @@ class TestWorkers:
         )
         assert (free.returncode, free.stderr) == (0, b"")
         assert (pinned.returncode, pinned.stderr, pinned.stdout) == (0, b"", free.stdout)
+
+
+class TestFanOutValues:
+    """fan_out hands back any picklable value, the same for every W."""
+
+    @staticmethod
+    def work(i: int):
+        values = np.arange(5 * i, 5 * i + 5, dtype=np.float64) / 3.0
+        values[i % 5] = np.nan
+        return {"values": values, "inf": np.array([np.inf, -0.0])}, f"item {i}"
+
+    def test_arrays_and_strings_do_not_depend_on_the_process_count(self):
+        expected = [self.work(i) for i in range(7)]
+        for w in (1, 2, 3):
+            got = list(montecarlo.fan_out(self.work, range(7), w))
+            assert [text for _, text in got] == [text for _, text in expected]
+            for (arrays, _), (want, _) in zip(got, expected):
+                assert_bit_equal(arrays, want)
+            assert_no_child_left()
+
+    def test_value_error_subclass_arrives_as_value_error(self):
+        class Refused(ValueError):
+            """Not picklable: a class local to a function."""
+
+        def work(i):
+            if i == 1:
+                raise Refused(f"item {i} refused")
+            return i
+
+        with pytest.raises(ValueError, match="^item 1 refused$") as raised:
+            list(montecarlo.fan_out(work, range(4), 2))
+        assert type(raised.value) is ValueError
+        assert_no_child_left()
+
+    def test_unpicklable_value_names_the_exit_status(self):
+        with pytest.raises(RuntimeError, match="exit status 3$"):
+            list(montecarlo.fan_out(lambda i: lambda: i, range(4), 2))
+        assert_no_child_left()
 
 
 def assert_no_child_left():
