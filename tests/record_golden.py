@@ -27,6 +27,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 from selfnorm import cli
 from selfnorm.montecarlo import CHECKS
@@ -35,6 +36,9 @@ from selfnorm.processes import PROCESSES, TILE
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 SEED_ENV = "SELFNORM_SEED"
+
+# argparse wraps help text at the terminal width, which it reads from COLUMNS
+COLUMNS = "80"
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,19 @@ def _simulate_cases() -> list[Case]:
     ]
 
 
+def _help_cases() -> list[Case]:
+    # the help of the program, of simulate and verify, and of every leaf
+    parents = [(), ("simulate",), ("verify",)]
+    leaves = [
+        ("weights",),
+        ("hermite",),
+        ("learning-table",),
+        *(("simulate", process) for process in sorted(PROCESSES)),
+        *(("verify", check_id) for check_id in CHECKS),
+    ]
+    return [Case((*path, "--help")) for path in parents + leaves]
+
+
 CASES = [
     *_verify_cases(),
     Case(("hermite",)),
@@ -192,6 +209,7 @@ CASES = [
     ),
     Case(("verify", "ar-laplace", "--n", "10", "--reps", "100", "--seed", "3", "--p", "5e-324")),
     Case(("learning-table", "--n", "1000000000000", "--delta", "1e-300", "--r-grid", "0.5")),
+    *_help_cases(),
 ]
 
 
@@ -202,17 +220,14 @@ def run(case: Case, workdir: Path) -> tuple[int, str, str]:
         path = workdir / "config.json"
         path.write_text(json.dumps(case.config))
         argv += ["--config", str(path)]
-    saved = os.environ.pop(SEED_ENV, None)
-    if case.env_seed is not None:
-        os.environ[SEED_ENV] = case.env_seed
     out, err = io.StringIO(), io.StringIO()
-    try:
+    # the environment is restored on leaving
+    with mock.patch.dict(os.environ, {"COLUMNS": COLUMNS}):
+        os.environ.pop(SEED_ENV, None)
+        if case.env_seed is not None:
+            os.environ[SEED_ENV] = case.env_seed
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-    finally:
-        os.environ.pop(SEED_ENV, None)
-        if saved is not None:
-            os.environ[SEED_ENV] = saved
     return code, out.getvalue(), err.getvalue()
 
 
