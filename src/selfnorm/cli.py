@@ -12,16 +12,18 @@ import contextlib
 import csv
 import io
 import itertools
-import json
 import os
 import sys
 from dataclasses import fields
-from fractions import Fraction
 from typing import Iterable
 
-from . import __version__, bounds, montecarlo
-from .bounds import TABLE1
-from .processes import PROCESSES, ProcessTrace, make_spec, simulate, trace_to_csv
+# selfnorm calls no BLAS routine, and the worker threads OpenBLAS starts when
+# numpy loads would busy-wait through start-up.  A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__, bounds, montecarlo  # noqa: E402
+from .bounds import TABLE1  # noqa: E402
+from .processes import PROCESSES, ProcessTrace, make_spec, simulate, trace_to_csv  # noqa: E402
 
 DEFAULT_A_GRID = (0.13, 0.2, 1 / 3, 9 / 16, 1.0, 2.0, 10.0)
 
@@ -32,6 +34,8 @@ WRITE_ROWS = 1024
 
 def parse_real(text: str) -> float:
     """Parse a real number, accepting exact rationals like '9/16'."""
+    from fractions import Fraction
+
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -95,11 +99,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_parser(subs, name: str, dests=(), specs=(), **kw) -> argparse.ArgumentParser:
-    """A leaf parser: the _FLAGS of dests, --seed and --<field> per field of
-    the specs when any are given (None by default when several are, as the
-    process is chosen after parsing), and the output flags."""
-    sub = subs.add_parser(name, **kw)
+def _add_parser(subs, path: tuple[str, ...], argv, dests=(), specs=(), runs_on=(), **kw) -> None:
+    """Register the leaf parser at path under its last name.  When argv is
+    None or begins with path, give it its flags: the _FLAGS of dests, --seed
+    and --<field> per field of the specs when any are given (None by default
+    when several are, as the process is chosen after parsing), the output
+    flags, and --process when runs_on names the processes it can run."""
+    sub = subs.add_parser(path[-1], **kw)
+    if argv is not None and argv[: len(path)] != list(path):
+        return
     for dest in dests:
         flag, kind, default = _FLAGS[dest]
         how = {"action": "store_true"} if kind is bool else {"type": kind, "default": default}
@@ -113,32 +121,38 @@ def _add_parser(subs, name: str, dests=(), specs=(), **kw) -> argparse.ArgumentP
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults")
-    return sub
+    if runs_on:
+        sub.add_argument("--process", choices=runs_on, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The selfnorm parser, with a leaf parser per subcommand, per simulated
-    process and per verify id."""
+    process and per verify id.  Every leaf is registered, so help and
+    invalid-choice messages list them all, but only the leaf argv names
+    (argv[0], and argv[1] under simulate or verify) gets its flags; with no
+    argv, every leaf does."""
     parser = _Parser(prog="selfnorm")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_parser(subs, "weights", ("a_list", "table1"), help="weight functions c(a), b(a)")
-    _add_parser(subs, "hermite", ("a_grid", "x_max", "x_steps"),
+    _add_parser(subs, ("weights",), argv, ("a_list", "table1"),
+                help="weight functions c(a), b(a)")
+    _add_parser(subs, ("hermite",), argv, ("a_grid", "x_max", "x_steps"),
                 help="pointwise inequality margin suite")
     simulate = subs.add_parser("simulate", help="emit one process trace")
     processes = simulate.add_subparsers(dest="process", required=True)
     for name, spec in PROCESSES.items():
-        _add_parser(processes, name, specs=(spec,))
+        _add_parser(processes, ("simulate", name), argv, specs=(spec,))
     verify = subs.add_parser("verify", help="verify one implemented inequality")
     ids = verify.add_subparsers(dest="inequality", required=True)
     for check_id, check in montecarlo.CHECKS.items():
+        path = ("verify", check_id)
         if check.process is None:
-            _add_parser(ids, check_id, check.flags)
+            _add_parser(ids, path, argv, check.flags)
             continue
         runs_on = tuple(PROCESSES) if check.any_process else (check.process,)
-        sub = _add_parser(ids, check_id, (*check.flags, "reps"), [PROCESSES[p] for p in runs_on])
-        sub.add_argument("--process", choices=runs_on, default=None)
-    _add_parser(subs, "learning-table", ("n", "a", "delta", "r_grid"),
+        specs = [PROCESSES[p] for p in runs_on]
+        _add_parser(ids, path, argv, (*check.flags, "reps"), specs, runs_on)
+    _add_parser(subs, ("learning-table",), argv, ("n", "a", "delta", "r_grid"),
                 help="risk-threshold comparison table")
     return parser
 
@@ -147,6 +161,8 @@ def _config_value(action: argparse.Action, key: str, value):
     """A config file's value for a flag, parsed and checked as the flag's
     own argument would be.  A string goes through the flag's type, a number
     only to an int or real flag, and a bool only to a store_true flag."""
+    import json
+
     if isinstance(action, argparse._StoreTrueAction):
         if isinstance(value, bool):
             return value
@@ -169,10 +185,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv.  A --config file holds a JSON object of flag defaults, so
     explicit flags win; each key is a flag's destination, and each value is
     parsed as that flag's argument."""
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
+    import json
+
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -202,6 +220,8 @@ def _json_doc(rows: list, args: argparse.Namespace) -> dict:
 
 
 def _dumps(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
 
 
@@ -276,9 +296,9 @@ def run_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         head, tail, render = "", "", lambda lo: trace_to_csv(trace, lo, lo + WRITE_ROWS)
     else:
-        # "rows" sorts after "header", so the placeholder is the document's last value
-        placeholder = "ROWS"
-        head, _, tail = _dumps(_json_doc([placeholder], args)).rpartition(json.dumps(placeholder))
+        # "rows" sorts after "header", so the placeholder, which json writes
+        # as '"ROWS"', is the document's last value
+        head, _, tail = _dumps(_json_doc(["ROWS"], args)).rpartition('"ROWS"')
         render = lambda lo: _json_rows(trace, lo)
     blocks = montecarlo.fan_out(render, range(0, spec.n + 1, WRITE_ROWS))
     with contextlib.closing(blocks):
@@ -352,7 +372,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 2 if code not in (0,) else 0
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

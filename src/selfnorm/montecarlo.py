@@ -8,6 +8,9 @@ forked child, each stripe in chunks.  A child's results cross its pipe as
 pickled values, and they are concatenated in replicate order.  So every
 estimate is the same for any chunk size and any number of processes.
 ``selfnorm simulate`` renders its row blocks through the same ``fan_out``.
+No fork is made while another Python thread runs (``_cpus``); that check
+cannot see native threads, but under the CLI none is alive when it forks,
+as ``selfnorm.cli`` pins OpenBLAS to one thread, which starts no pool.
 
 Each verification is one ``CHECKS`` entry.  A tail or coverage entry holds
 its event as a function of the run and the level; ``event_indicator``

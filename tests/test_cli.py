@@ -373,6 +373,18 @@ def test_process_flags_are_the_spec_fields(path):
             assert (action.type is int) == (f.name == "n")
 
 
+@pytest.mark.parametrize("path", LEAF_FLAGS, ids=" ".join)
+def test_parser_for_argv_gives_flags_to_its_leaf_alone(path):
+    # every leaf stays registered, the one argv names has its flags, the
+    # others none, and argv parses as the parser of every leaf parses it
+    argv = list(path)
+    parser = cli.build_parser(argv)
+    for other, sub in leaf_parsers(parser).items():
+        dests = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        assert dests == (LEAF_FLAGS[path] | OUTPUT_FLAGS if other == path else set())
+    assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
 # values of the flags that a leaf parser may lack
 FLAG_VALUES = {
     "a_list": "1/3", "a_grid": "1", "x_max": "5", "x_steps": "11", "a": "1/3", "delta": "0.2",

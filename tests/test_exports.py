@@ -1,6 +1,7 @@
 """Each module's __all__ matches what it defines, and the package exports resolve."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -26,16 +27,14 @@ def test_all_lists_exactly_the_public_definitions(module):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(inspect.getsource(selfnorm))
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for name in imported:
-        assert hasattr(selfnorm, name), f"selfnorm does not resolve {name!r}"
+    # each name of the lazy export table is listed, and resolves to the
+    # definition in the submodule the table names
+    assert selfnorm._EXPORTS
+    assert set(selfnorm.__all__) == set(selfnorm._EXPORTS)
+    assert set(selfnorm.__all__) <= set(dir(selfnorm))
+    for name, module in selfnorm._EXPORTS.items():
+        defined = getattr(importlib.import_module(f"selfnorm.{module}"), name)
+        assert getattr(selfnorm, name) is defined, f"selfnorm does not resolve {name!r}"
 
 
 def _benchmark_hooks() -> dict:
@@ -66,3 +65,13 @@ def test_benchmark_hooks_exist():
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     trace = processes.simulate(processes.IDLASpec(n=3), seed=1)
     assert isinstance(processes.trace_to_csv(trace), str)
+
+
+@pytest.mark.filterwarnings("ignore:Support for .*tool.setuptools")
+def test_version_is_stated_once():
+    # pyproject.toml reads the version from the package's literal
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(
+        Path(__file__).parents[1] / "pyproject.toml", expand=True
+    )
+    assert config["project"]["version"] == selfnorm.__version__
