@@ -41,7 +41,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("MartingalePath", "accumulate", "s_weighted", "supermartingale_weight"), "martingale"
     ),
-    **dict.fromkeys(("MCEstimate", "estimate_expectation"), "montecarlo"),
+    "estimate_expectation": "montecarlo",
     **dict.fromkeys(
         (
             "AR1Spec",

@@ -12,11 +12,11 @@ No fork is made while another Python thread runs (``_cpus``); that check
 cannot see native threads, but under the CLI none is alive when it forks,
 as ``selfnorm.cli`` pins OpenBLAS to one thread, which starts no pool.
 
-Each verification is one ``CHECKS`` entry.  A tail or coverage entry holds
-its event as a function of the run and the level; ``event_indicator``
-evaluates it and ``summarize_indicators`` reduces the indicators.  An
-expectation row reduces its per-replicate values with
-``estimate_expectation``.
+Each verification is one ``CHECKS`` entry, a grid of keys and a row per key.
+A tail or coverage row reduces its event's indicators, which
+``event_indicator`` evaluates, with ``summarize_indicators``; an expectation
+row reduces its per-replicate values with ``estimate_expectation``.  Each
+reducer returns its estimate as columns of the row.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
@@ -42,8 +42,6 @@ from .processes import (
 
 __all__ = [
     "CHUNK",
-    "MCEstimate",
-    "ExpectationEstimate",
     "hoeffding_epsilon",
     "summarize_indicators",
     "fan_out",
@@ -71,25 +69,6 @@ HERMITE_X_MAX = 50.0
 HERMITE_X_STEPS = 100_001
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    """Empirical event probability with a two-sided Hoeffding interval."""
-
-    p_hat: float
-    n_samples: int
-    ci_lo: float
-    ci_hi: float
-
-
-@dataclass(frozen=True)
-class ExpectationEstimate:
-    """Monte Carlo mean of per-replicate values with its standard error."""
-
-    mean: float
-    se: float
-    n_samples: int
-
-
 def hoeffding_epsilon(n_samples: int, alpha: float) -> float:
     """Half-width sqrt(log(2/alpha) / (2 n)) of the two-sided interval."""
     if n_samples < 1:
@@ -99,17 +78,18 @@ def hoeffding_epsilon(n_samples: int, alpha: float) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n_samples))
 
 
-def summarize_indicators(indicators: np.ndarray, alpha: float) -> MCEstimate:
-    """Turn per-replicate event indicators into an estimate with CI."""
+def summarize_indicators(indicators: np.ndarray, alpha: float) -> dict:
+    """Row columns of the event frequency in per-replicate indicators: p_hat,
+    its two-sided Hoeffding interval ci_lo..ci_hi, and n_samples."""
     n = len(indicators)
     p_hat = float(np.count_nonzero(indicators)) / n
     eps = hoeffding_epsilon(n, alpha)
-    return MCEstimate(
-        p_hat=p_hat,
-        n_samples=n,
-        ci_lo=max(0.0, p_hat - eps),
-        ci_hi=min(1.0, p_hat + eps),
-    )
+    return {
+        "p_hat": p_hat,
+        "ci_lo": max(0.0, p_hat - eps),
+        "ci_hi": min(1.0, p_hat + eps),
+        "n_samples": n,
+    }
 
 
 def _cpus() -> int:
@@ -221,36 +201,37 @@ def event_indicator(event: Callable, run, x: float) -> np.ndarray:
         return event(run, x)
 
 
-def estimate_expectation(values: np.ndarray) -> ExpectationEstimate:
-    """Monte Carlo mean of per-replicate values with its standard error."""
-    n = len(values)
+def estimate_expectation(values: np.ndarray) -> dict:
+    """Row columns of the Monte Carlo mean of per-replicate values: mc_mean
+    and its standard error mc_se."""
     mean = float(np.mean(values))
     var = float(np.mean((values - mean) ** 2))
-    return ExpectationEstimate(mean=mean, se=math.sqrt(var / n), n_samples=n)
+    return {"mc_mean": mean, "mc_se": math.sqrt(var / len(values))}
 
 
-def _estimate_columns(est: MCEstimate) -> dict:
-    return {"p_hat": est.p_hat, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi, "n_samples": est.n_samples}
-
-
-def _bound_row(run, x: float, check: Check) -> dict:
-    """Output row of a tail check at x: x, y when set, bound_<name> per
-    applicable bound, the estimate, and satisfied.
-
-    The one place that decides whether a tail row holds: ci_lo must not
-    exceed any dominating bound.
+def _tail_check(process, reps, grid, event, bound_columns, dominating=(), **kw) -> Check:
+    """A tail check: event(run, x) is the per-replicate indicator at level x,
+    and each bound column maps to bound(run, x), None where it does not apply.
+    Its row at x holds x, y when set, bound_<name> per applicable bound, the
+    estimate, and satisfied.  The one place that decides whether a tail row
+    holds: ci_lo must not exceed any dominating bound, the bounds theory
+    guarantees (all when dominating is empty).
     """
-    cols = {name: bound(run, x) for name, bound in check.bounds.items()}
-    cols = {name: value for name, value in cols.items() if value is not None}
-    dom = tuple(name for name in check.dominating or cols if name in cols)
-    est = summarize_indicators(event_indicator(check.event, run, x), run.alpha)
-    head = {"x": x} if run.y is None else {"x": x, "y": run.y}
-    return {
-        **head,
-        **{f"bound_{name}": value for name, value in cols.items()},
-        **_estimate_columns(est),
-        "satisfied": all(est.ci_lo <= cols[name] for name in dom),
-    }
+
+    def row(run, x: float) -> dict:
+        cols = {name: bound(run, x) for name, bound in bound_columns.items()}
+        cols = {name: value for name, value in cols.items() if value is not None}
+        dom = tuple(name for name in dominating or cols if name in cols)
+        est = summarize_indicators(event_indicator(event, run, x), run.alpha)
+        head = {"x": x} if run.y is None else {"x": x, "y": run.y}
+        return {
+            **head,
+            **{f"bound_{name}": value for name, value in cols.items()},
+            **est,
+            "satisfied": all(est["ci_lo"] <= cols[name] for name in dom),
+        }
+
+    return Check(process, reps, grid, row, flags=("a", "alpha", "x_grid"), **kw)
 
 
 # x-grid rules, levels, events and bounds of tail checks; run holds the flag
@@ -335,6 +316,9 @@ def _learn_phi(run, delta: float) -> np.ndarray:
 def _hermite_row(run, a: float) -> dict:
     # selfnorm hermite sets the x-range; verify hermite keeps the defaults
     x_max = getattr(run, "x_max", HERMITE_X_MAX)
+    # a grid of one point at 0 would pass without checking anything
+    if not x_max > 0.0:
+        raise ValueError(f"x-max must be positive, got {x_max}")
     # a grid wider than the largest float would be NaN, not a violation
     if not math.isfinite(2.0 * x_max):
         raise ValueError(f"x-max is too large for a grid of floats, got {x_max}")
@@ -380,19 +364,17 @@ def _ar_laplace_row(run, divisor: float) -> dict:
             f"p is too small for the ar-laplace check: t = {t}, bound = {rhs} at p = {spec.p}"
         )
     est = estimate_expectation(np.exp(t * run.finals["pqv"]))
-    rel_se = est.se / est.mean if est.mean > 0 else 0.0
-    ok = est.mean <= rhs * (1.0 + 3.0 * rel_se)
-    return {"t": t, "mc_mean": est.mean, "mc_se": est.se, "bound": rhs, "satisfied": ok}
+    rel_se = est["mc_se"] / est["mc_mean"] if est["mc_mean"] > 0 else 0.0
+    ok = est["mc_mean"] <= rhs * (1.0 + 3.0 * rel_se)
+    return {"t": t, **est, "bound": rhs, "satisfied": ok}
 
 
 def _supermartingale_row(run, key: tuple[float, float]) -> dict:
     a, t = key
     f = run.finals
     est = estimate_expectation(supermartingale_weight(f["m"], f["qv"], f["pqv"], t, a))
-    ok = est.mean <= 1.0 + 3.0 * est.se
-    return {
-        "process": run.process, "a": a, "t": t, "mc_mean": est.mean, "mc_se": est.se, "satisfied": ok
-    }
+    ok = est["mc_mean"] <= 1.0 + 3.0 * est["mc_se"]
+    return {"process": run.process, "a": a, "t": t, **est, "satisfied": ok}
 
 
 def _coverage_check(event: Callable) -> Check:
@@ -401,35 +383,29 @@ def _coverage_check(event: Callable) -> Check:
 
     def row(run, delta: float) -> dict:
         est = summarize_indicators(event_indicator(event, run, delta), run.alpha)
-        return {"delta": delta, **_estimate_columns(est), "satisfied": est.ci_lo <= delta}
+        return {"delta": delta, **est, "satisfied": est["ci_lo"] <= delta}
 
-    return Check("learn", 10_000, lambda run: [run.delta], row=row, flags=("a", "delta", "alpha"))
+    return Check("learn", 10_000, lambda run: [run.delta], row, flags=("a", "delta", "alpha"))
 
 
 @dataclass(frozen=True)
 class Check:
-    """One ``selfnorm verify`` id.
+    """One ``selfnorm verify`` id: a grid of keys and a row per key.
 
     process is simulated once per command (None: nothing is simulated), with
     reps replicates unless --reps is given; any_process lets --process
     replace it.  prepare(run) then sets the level y.  grid is the tuple of
-    row keys, or grid(run) computes them.  A tail check holds its event,
-    event(run, x) being the per-replicate indicator at level x, and maps
-    each bound column to bound(run, x), None where the bound does not apply;
-    dominating (all when empty) are the bounds theory guarantees, and
-    --x-grid replaces its grid.  Any other check builds each row with
-    row(run, key).  flags names the destinations of the other flags the
-    check reads: its parser has these and, if it simulates, --process,
-    --reps, --seed and the process fields.
+    row keys, or grid(run) computes them, and row(run, key) builds the
+    output row of each key.  flags names the destinations of the other flags
+    the check reads: its parser has these and, if it simulates, --process,
+    --reps, --seed and the process fields.  With x_grid among them,
+    --x-grid replaces the grid.
     """
 
     process: str | None
     reps: int
     grid: tuple | Callable
-    event: Callable | None = None
-    bounds: dict[str, Callable] = field(default_factory=dict)
-    dominating: tuple[str, ...] = ()
-    row: Callable | None = None
+    row: Callable
     prepare: Callable | None = None
     any_process: bool = False
     flags: tuple[str, ...] = ()
@@ -439,13 +415,12 @@ _SUPERMG_GRID = tuple(
     (a, t) for a in (1 / 3, 9 / 16) for t in (-0.05, -0.01, -0.001, 0.001, 0.01, 0.05)
 )
 
-_TAIL_FLAGS = ("a", "alpha", "x_grid")
-
-# id: Check(process, reps, grid, [event, bound columns], ...)
+# id: Check(process, reps, grid, row, ...), or a tail check's
+# _tail_check(process, reps, grid, event, bound columns, ...)
 CHECKS = {
-    "hermite": Check(None, 0, lambda run: run.a_grid, row=_hermite_row, flags=("a_grid",)),
-    "kearns-saul": Check(None, 0, (0.01, 0.1, 1 / 3, 0.499, 0.5), row=_kearns_saul_row),
-    "weighted-tail": Check(
+    "hermite": Check(None, 0, lambda run: run.a_grid, _hermite_row, flags=("a_grid",)),
+    "kearns-saul": Check(None, 0, (0.01, 0.1, 1 / 3, 0.499, 0.5), _kearns_saul_row),
+    "weighted-tail": _tail_check(
         "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"])), _mart_abs,
         {
             "weighted": lambda run, x: bounds.exp_tail_bound(x, run.y, run.a),
@@ -455,9 +430,8 @@ CHECKS = {
             ),
         },
         dominating=("weighted",), prepare=_set_y_median_s, any_process=True,
-        flags=_TAIL_FLAGS,
     ),
-    "ratio-tail": Check(
+    "ratio-tail": _tail_check(
         "idla", 100_000,
         _quantiles(
             lambda run: np.abs(run.finals["m"])
@@ -465,19 +439,18 @@ CHECKS = {
         ),
         _mart_ratio,
         {"weighted": lambda run, x: bounds.ratio_tail_bound(x, run.y, run.a)},
-        prepare=_set_y_median_s, any_process=True, flags=_TAIL_FLAGS,
+        prepare=_set_y_median_s, any_process=True,
     ),
-    "pqv-ratio": Check(
+    "pqv-ratio": _tail_check(
         "idla", 100_000, _quantiles(lambda run: np.abs(run.finals["m"]) / run.finals["pqv"]),
         _mart_pqv_ratio, {"weighted": lambda run, x: bounds.pqv_ratio_bound(x, run.y, run.a)},
-        prepare=_set_y_pqv_margin, any_process=True, flags=_TAIL_FLAGS,
+        prepare=_set_y_pqv_margin, any_process=True,
     ),
-    "missing-factor": Check(
+    "missing-factor": _tail_check(
         "idla", 100_000, (1.0, 1.5, 2.0, 2.5), _mart_missing,
         {"missing-factor": lambda run, x: bounds.missing_factor_bound(x, 2.0)[1]},
-        flags=_TAIL_FLAGS,
     ),
-    "ar-estimator": Check(
+    "ar-estimator": _tail_check(
         "ar1", 100_000, lambda run: [f * _ar_limit(run) for f in (0.05, 0.1, 0.2, 0.4)],
         lambda run, x: np.abs(run.finals["theta_hat"] - run.spec.theta) >= x,
         {
@@ -486,28 +459,26 @@ CHECKS = {
             ),
             "gauss-ar": lambda run, x: bounds.gauss_ar_bound(x, run.spec.n),
         },
-        dominating=("weighted",), flags=_TAIL_FLAGS,
+        dominating=("weighted",),
     ),
-    "ar-laplace": Check("ar1", 10_000, (2.0, 4.0), row=_ar_laplace_row),
-    "idla-scaled": Check(
+    "ar-laplace": Check("ar1", 10_000, (2.0, 4.0), _ar_laplace_row),
+    "idla-scaled": _tail_check(
         "idla", 100_000, (0.1, 0.2, 0.3, 0.4),
         lambda run, x: np.abs(run.finals["x"]) / run.spec.n >= x,
         {
             "weighted": lambda run, x: bounds.idla_bounds(x, run.spec.n, run.a)[0],
             "azuma": lambda run, x: bounds.azuma_idla_bound(x, run.spec.n),
         },
-        flags=_TAIL_FLAGS,
     ),
-    "idla-sqrt": Check(
+    "idla-sqrt": _tail_check(
         "idla", 100_000, (0.5, 1.0, 1.5, 2.0),
         lambda run, x: np.abs(run.finals["x"]) / math.sqrt(run.spec.n) >= x,
         {"sqrt-scaled": lambda run, x: bounds.idla_bounds(x, run.spec.n, run.a)[1]},
-        flags=_TAIL_FLAGS,
     ),
     "learn-threshold": _coverage_check(_learn_cover),
     "learn-phi": _coverage_check(_learn_phi),
     "supermartingale": Check(
-        "idla", 10_000, _SUPERMG_GRID, row=_supermartingale_row, any_process=True
+        "idla", 10_000, _SUPERMG_GRID, _supermartingale_row, any_process=True
     ),
 }
 
@@ -528,10 +499,8 @@ def verify(check: Check, params) -> list[dict]:
         run.finals = simulate_finals(run.spec, params.seed, reps)
         if check.prepare is not None:
             check.prepare(run)
-    # --x-grid replaces only a tail check's grid
-    keys = (getattr(params, "x_grid", None) if check.event else None) or check.grid
+    # --x-grid replaces the grid of a check that reads it
+    keys = (getattr(params, "x_grid", None) if "x_grid" in check.flags else None) or check.grid
     if callable(keys):
         keys = keys(run)
-    if check.event is None:
-        return [check.row(run, key) for key in keys]
-    return [_bound_row(run, x, check) for x in keys]
+    return [check.row(run, key) for key in keys]

@@ -85,7 +85,7 @@ def _refused_process_cases() -> list[Case]:
 
 
 def _refused_flag_cases() -> list[Case]:
-    # --reps where nothing is simulated, --x-grid where no tail event is,
+    # --reps where nothing is simulated, --x-grid where a check takes none,
     # flags a subcommand, process or verify id does not read, another
     # process's field, and a prefix of a flag's name
     return [
@@ -114,7 +114,7 @@ def _refused_flag_cases() -> list[Case]:
         *(
             Case(("verify", check_id, "--x-grid", "1,2", "--n", "30"))
             for check_id, check in CHECKS.items()
-            if check.event is None
+            if "x_grid" not in check.flags
         ),
     ]
 
@@ -199,6 +199,9 @@ CASES = [
     Case(("verify", "ar-estimator", "--x-grid", "91", "--n", "30", "--reps", "200", "--seed", "3")),
     Case(("verify", "hermite", "--a-grid", "1000")),
     Case(("hermite", "--a-grid", "1e8")),
+    # an x-range at or below 0 leaves nothing to check
+    Case(("hermite", "--x-max", "0")),
+    Case(("hermite", "--x-max", "-5")),
     Case(("verify", "ratio-tail", "--x-grid", "1e308", "--n", "30", "--reps", "200", "--seed", "3")),
     # d(a)'s denominator p^2 + pq c(a) underflows to 0, the ar-laplace
     # exponent t overflows, and cbg's (n r + 3) / delta would overflow

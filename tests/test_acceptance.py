@@ -126,7 +126,7 @@ def test_06_idla_tail_dominance(idla100):
             est = summarize_indicators(scaled >= x, ALPHA)
             new_bound, _ = bounds.idla_bounds(x, n, a)
             azuma = bounds.azuma_idla_bound(x, n)
-            ok &= est.ci_lo <= new_bound
+            ok &= est["ci_lo"] <= new_bound
             ok &= new_bound <= azuma + 1e-15
     assert report(6, "growth-model tail dominance", ok)
 
@@ -143,7 +143,7 @@ def test_07_ar_suite():
             for frac in (0.05, 0.1, 0.2, 0.4):
                 x = frac * limit
                 est = summarize_indicators(dev >= x, ALPHA)
-                ok &= est.ci_lo <= bounds.ar_bound(x, spec.n, p, a)
+                ok &= est["ci_lo"] <= bounds.ar_bound(x, spec.n, p, a)
             t = -1.0 / (2.0 * spec.sigma2)
             vals = np.exp(t * finals["pqv"])
             mean = float(vals.mean())

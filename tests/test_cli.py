@@ -100,6 +100,14 @@ class TestHermite:
         code = main(["hermite", "--x-max", "1e308", "--x-steps", "101"])
         assert_one_error_line(code, capsys.readouterr())
 
+    @pytest.mark.parametrize("x_max", ["0", "-5"])
+    def test_x_max_must_be_positive(self, capsys, x_max):
+        # a grid of one point at 0 would report a pass that checks nothing
+        code = main(["hermite", "--x-max", x_max])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: x-max must be positive, got {float(x_max)}\n"
+
     def test_verify_hermite_matches_hermite(self, capsys):
         # verify hermite has no grid flags and runs on hermite's defaults
         hermite = run(capsys, "hermite")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,7 +16,6 @@ from selfnorm.bounds import exp_tail_bound
 from selfnorm.martingale import supermartingale_weight
 from selfnorm.montecarlo import (
     CHECKS,
-    Check,
     estimate_expectation,
     event_indicator,
     hoeffding_epsilon,
@@ -58,21 +58,21 @@ class TestHoeffding:
         repeats = 200
         for _ in range(repeats):
             est = summarize_indicators(rng.random(2000) < 0.3, alpha=0.05)
-            covered += est.ci_lo <= 0.3 <= est.ci_hi
+            covered += est["ci_lo"] <= 0.3 <= est["ci_hi"]
         assert covered / repeats >= 0.95
 
 
 class TestSummarize:
     def test_never_firing_event(self):
         est = summarize_indicators(np.zeros(400, dtype=bool), alpha=0.05)
-        assert est.p_hat == 0.0
-        assert est.ci_lo == 0.0
-        assert est.ci_hi == pytest.approx(hoeffding_epsilon(400, 0.05), abs=1e-15)
+        assert est["p_hat"] == 0.0
+        assert est["ci_lo"] == 0.0
+        assert est["ci_hi"] == pytest.approx(hoeffding_epsilon(400, 0.05), abs=1e-15)
 
     def test_always_firing_event(self):
         est = summarize_indicators(np.ones(400, dtype=bool), alpha=0.05)
-        assert est.p_hat == 1.0
-        assert est.ci_hi == 1.0
+        assert est["p_hat"] == 1.0
+        assert est["ci_hi"] == 1.0
 
 
 class TestDeterminism:
@@ -102,19 +102,27 @@ class TestEvents:
         with pytest.raises(ValueError):
             verify(CHECKS["idla-scaled"], params(reps=50, seed=0, x_grid=[0.1]))
 
-    def test_event_indicator_evaluates_the_entry_event(self):
-        run = SimpleNamespace(spec=IDLA, finals=simulate_finals(IDLA, seed=0, n_samples=256))
-        got = event_indicator(CHECKS["idla-scaled"].event, run, 0.2)
-        assert np.array_equal(got, np.abs(run.finals["x"]) / 50 >= 0.2)
+    def test_event_indicator_evaluates_the_entry_event(self, monkeypatch):
+        # idla-scaled's row at x reduces the indicators of |X_n|/n >= x,
+        # which it evaluates through the module's event_indicator
+        got = []
+
+        def spy(event, run, x):
+            got.append(event_indicator(event, run, x))
+            return got[-1]
+
+        monkeypatch.setattr(montecarlo, "event_indicator", spy)
+        (row,) = verify(CHECKS["idla-scaled"], params(reps=256, seed=0, x_grid=[0.2]))
+        want = np.abs(simulate_finals(IDLA, seed=0, n_samples=256)["x"]) / 50 >= 0.2
+        assert len(got) == 1 and np.array_equal(got[0], want)
+        assert row["p_hat"] == np.count_nonzero(want) / 256
 
     def test_weighted_tail_respects_bound(self):
         # |M_n| >= x with S_n(a) <= y should sit below 2 exp(-x^2 / (2 a y))
-        check = Check(
-            "idla", 0, (40.0,), CHECKS["weighted-tail"].event,
-            {"weighted": lambda run, x: exp_tail_bound(x, run.y, run.a)},
-            prepare=lambda run: setattr(run, "y", 600.0),
+        check = dataclasses.replace(
+            CHECKS["weighted-tail"], prepare=lambda run: setattr(run, "y", 600.0)
         )
-        (row,) = verify(check, params(reps=20_000, seed=9))
+        (row,) = verify(check, params(reps=20_000, seed=9, x_grid=[40.0]))
         assert row["y"] == 600.0
         assert row["ci_lo"] <= row["bound_weighted"] == exp_tail_bound(40.0, 600.0, 1 / 3)
         assert row["satisfied"]
@@ -128,31 +136,36 @@ def supermg_weights(n_samples, t, a):
 class TestExpectations:
     def test_supermg_t_zero(self):
         est = estimate_expectation(supermg_weights(512, 0.0, 1 / 3))
-        assert est.mean == 1.0
-        assert est.se == 0.0
+        assert est["mc_mean"] == 1.0
+        assert est["mc_se"] == 0.0
 
     def test_supermg_mean_at_most_one(self):
         for t in (-0.01, 0.01):
             est = estimate_expectation(supermg_weights(10_000, t, 1 / 3))
-            assert est.mean <= 1.0 + 3.0 * est.se
+            assert est["mc_mean"] <= 1.0 + 3.0 * est["mc_se"]
 
     def test_second_moment_matches_exact(self):
         m = simulate_finals(IDLASpec(n=100), seed=21, n_samples=100_000)["m"]
         est = estimate_expectation(m * m)
         _, em2 = idla_exact_moments(100)
-        assert abs(est.mean - em2) <= 3.0 * est.se
+        assert abs(est["mc_mean"] - em2) <= 3.0 * est["mc_se"]
 
 
 class TestCompare:
     """Bound columns of the tail checks held against the estimate."""
 
-    def test_single_threshold(self):
+    def test_single_threshold(self, monkeypatch):
         (row,) = verify(CHECKS["idla-scaled"], params(x_grid=[0.2], seed=7))
         assert row["x"] == 0.2
         assert {k for k in row if k.startswith("bound_")} == {"bound_weighted", "bound_azuma"}
-        # no dominating list: every bound column is held against ci_lo
-        assert CHECKS["idla-scaled"].dominating == ()
         assert row["satisfied"]
+        # no dominating list: every bound column is held against ci_lo, so
+        # a zero Azuma bound fails the row
+        assert row["ci_lo"] > 0.0
+        monkeypatch.setattr(montecarlo.bounds, "azuma_idla_bound", lambda x, n: 0.0)
+        (row,) = verify(CHECKS["idla-scaled"], params(x_grid=[0.2], seed=7))
+        assert row["bound_azuma"] == 0.0
+        assert not row["satisfied"]
 
     def test_ar_out_of_range_drops_weighted(self):
         (row,) = verify(CHECKS["ar-estimator"], params(x_grid=[5.0], seed=8))
@@ -171,7 +184,10 @@ class TestCompare:
 class TestVerify:
     @staticmethod
     def tail_row(bound_columns, dominating=()):
-        check = Check("idla", 0, (0.1,), CHECKS["idla-scaled"].event, bound_columns, dominating)
+        def scaled(run, x):  # idla-scaled's event
+            return np.abs(run.finals["x"]) / run.spec.n >= x
+
+        check = montecarlo._tail_check("idla", 0, (0.1,), scaled, bound_columns, dominating)
         return verify(check, params(reps=1000, seed=1))[0]
 
     def test_tail_pass_rule(self):
@@ -195,6 +211,24 @@ class TestVerify:
         assert ci_lo == 0.3 - hoeffding_epsilon(1000, 0.05)
         assert check.row(run, ci_lo)["satisfied"]
         assert not check.row(run, np.nextafter(ci_lo, 0.0))["satisfied"]
+
+    @pytest.mark.parametrize("check_id", sorted(CHECKS))
+    def test_x_grid_replaces_the_grid_exactly_where_flags_name_it(self, check_id):
+        check = CHECKS[check_id]
+        takes = "x_grid" in check.flags
+        flags = dict(reps=200, n=30, a_grid=(1 / 3,))
+        rows = verify(check, params(**flags, x_grid=[0.7]))
+        if takes:
+            assert [row["x"] for row in rows] == [0.7]
+        else:
+            assert rows == verify(check, params(**flags))
+        # the id's parser takes --x-grid for the same ids
+        argv = ["verify", check_id, "--x-grid", "0.7"]
+        if takes:
+            assert cli.build_parser(argv).parse_args(argv).x_grid == [0.7]
+        else:
+            with pytest.raises(ValueError, match="^unrecognized arguments: --x-grid 0.7$"):
+                cli.build_parser(argv).parse_args(argv)
 
     def test_ar_laplace_overflow_names_p(self):
         # t = -1/(divisor sigma^2) overflows to -inf, and the bound is nan
