@@ -46,6 +46,7 @@ A tile is stored replicate-minor (Fortran order), so each step of
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, fields
@@ -116,8 +117,9 @@ class AR1Spec:
     def q(self) -> float:
         return 1.0 - self.p
 
-    @property
+    @functools.cached_property
     def sigma2(self) -> float:
+        # cached: the float step of simulate reads it once per step
         return 4.0 * self.p * self.q
 
     def step(self, x, u, k):
@@ -346,11 +348,12 @@ def true_risk(c: float | np.ndarray, theta_star: float, eta: float):
 
 
 def _clip01(v):
-    # builtins on a float, their ufuncs in the same order on an array: the
-    # same bits either way
+    # builtins on a float, ndarray.clip on an array: the same bits except at
+    # -0.0 (the float branch gives +0.0, the array one keeps -0.0) and at NaN
+    # (0.0 against NaN), values the learner's threshold never takes
     if isinstance(v, float):
         return min(1.0, max(0.0, v))
-    return np.minimum(1.0, np.maximum(0.0, v))
+    return v.clip(0.0, 1.0)
 
 
 def _sqrt(k):

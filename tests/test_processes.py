@@ -549,6 +549,26 @@ class TestStepOnFloatsEqualsStepOnArrays:
         spec = LearnSpec(theta_star=theta_star, eta=eta, gamma0=gamma0, c0=0.0, n=1)
         assert bitwise_equal(*step_both_ways(spec, c, list(u), k))
 
+    def test_clip01(self):
+        edges = np.array([-np.inf, 0.0, 1.0, np.inf])
+        values = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308],
+                np.random.default_rng(7).uniform(-2.0, 3.0, 4099),
+            ]
+        )
+        clipped = processes._clip01(values)
+        floats = np.array([processes._clip01(float(v)) for v in values])
+        assert clipped.tobytes() == floats.tobytes()
+        # the array branch keeps the bits of the two ufuncs it replaced, at
+        # -0.0 and NaN too
+        values = np.append(values, [-0.0, np.nan])
+        reference = np.minimum(1.0, np.maximum(0.0, values))
+        assert processes._clip01(values).tobytes() == reference.tobytes()
+
 
 def test_trace_csv_shape():
     trace = idla_simulate(IDLASpec(n=4), seed=1)

@@ -1,27 +1,42 @@
-"""Start-up of the package and of the CLI, each in a fresh interpreter:
-``import selfnorm`` loads no numpy and sets nothing, and ``selfnorm.cli``
-pins OpenBLAS to one thread before numpy loads unless the variable is set."""
+"""Start-up and exit of the package and of the CLI, each in a fresh
+interpreter: ``import selfnorm`` loads no numpy and sets nothing, and
+``selfnorm.cli`` pins OpenBLAS to one thread before numpy loads unless the
+variable is set, and freezes the garbage collector's objects once its
+imports are done.  A command run as the console script exits as it does
+through ``cli.main`` in process."""
 
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from selfnorm import cli
+
 SRC = Path(__file__).parents[1] / "src"
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+# what the installed ``selfnorm`` console script runs
+ENTRY = "import sys; from selfnorm.cli import main; sys.exit(main())"
 
 
-def _fresh(code: str, **env: str) -> list[str]:
-    """The stdout lines of code run by a fresh interpreter that imports
-    selfnorm from src, with OPENBLAS_NUM_THREADS unset unless env sets it."""
+def _run(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """code, given args, run by a fresh interpreter that imports selfnorm
+    from src, with OPENBLAS_NUM_THREADS unset unless env sets it."""
     environ = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), environ.get("PYTHONPATH")]))
     environ.update(env)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=environ, capture_output=True, timeout=60
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+
+
+def _fresh(code: str, **env: str) -> list[str]:
+    """The stdout lines of code run by _run, which must exit 0."""
+    done = _run(code, **env)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode().splitlines()
 
 
 def test_package_import_loads_no_numpy_and_sets_nothing():
@@ -61,3 +76,55 @@ def test_star_import_binds_every_exported_name():
     count, missing = _fresh(code)
     assert int(count) > 0
     assert missing == "[]"
+
+
+def test_cli_freezes_its_start_up_objects_and_keeps_collecting():
+    code = "import gc, selfnorm.cli\nprint(gc.isenabled())\nprint(gc.get_freeze_count() > 0)\n"
+    assert _fresh(code) == ["True", "True"]
+
+
+def test_library_imports_freeze_nothing():
+    code = (
+        "import gc, selfnorm, selfnorm.processes, selfnorm.montecarlo\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    assert _fresh(code) == ["0"]
+
+
+def test_repeated_main_calls_freeze_nothing(capsys):
+    frozen = [gc.get_freeze_count()]
+    for _ in range(2):
+        assert cli.main(["simulate", "ar1", "--n", "2000", "--seed", "4"]) == 0
+        frozen.append(gc.get_freeze_count())
+    # the first call of a process may free a few frozen objects, such as a
+    # cache entry it replaces; no call adds any
+    assert frozen[0] >= frozen[1] == frozen[2]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "idla-scaled", "--n", "100", "--reps", "2000", "--seed", "4"],
+        ["simulate", "ar1", "--n", "5000"],
+        ["simulate", "learn", "--n", "3000", "--format", "json", "--out"],
+    ],
+    ids=["verify", "simulate-csv", "simulate-json-out"],
+)
+def test_console_script_exits_as_main_does(capsys, tmp_path, argv):
+    """The golden corpus runs cli.main in process; this runs the same
+    commands to interpreter exit, the two simulate ones and, given two CPUs,
+    the verify one through fan_out's forked children."""
+    out = tmp_path / "out"
+    if argv[-1] == "--out":
+        argv = [*argv, str(out)]
+    done = _run(ENTRY, *argv)
+    assert done.stderr == b""
+    fresh = out.read_bytes() if out.exists() else done.stdout
+    out.unlink(missing_ok=True)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert done.returncode == code
+    assert fresh == (out.read_bytes() if out.exists() else captured.out.encode())
+    assert len(fresh) > 0
