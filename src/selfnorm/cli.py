@@ -26,12 +26,12 @@ from . import __version__, bounds, montecarlo  # noqa: E402
 from .bounds import TABLE1  # noqa: E402
 from .processes import PROCESSES, ProcessTrace, make_spec, simulate, trace_to_csv  # noqa: E402
 
-# Every module a command runs is loaded now, and all that their imports made
-# is still reachable, so a collection would free none of it.  Frozen, those
-# objects are skipped by the collection at interpreter exit and by a fan_out
-# child's collections, which would otherwise touch, and so copy, the pages
-# the child shares with its parent.  What a command allocates is collected
-# as before.
+# numpy and every selfnorm module are loaded now, and all that their
+# imports made is still reachable, so a collection would free none of it.
+# Frozen, those objects are skipped by the collection at interpreter exit
+# and by a fan_out child's collections, which would otherwise touch, and so
+# copy, the pages the child shares with its parent.  What a command
+# allocates is collected as before.
 gc.freeze()
 
 DEFAULT_A_GRID = (0.13, 0.2, 1 / 3, 9 / 16, 1.0, 2.0, 10.0)

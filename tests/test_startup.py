@@ -96,35 +96,38 @@ def test_repeated_main_calls_freeze_nothing(capsys):
     for _ in range(2):
         assert cli.main(["simulate", "ar1", "--n", "2000", "--seed", "4"]) == 0
         frozen.append(gc.get_freeze_count())
-    # the first call of a process may free a few frozen objects, such as a
-    # cache entry it replaces; no call adds any
+    # the first call of a process may free a few frozen objects; no call
+    # adds any
     assert frozen[0] >= frozen[1] == frozen[2]
     assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["verify", "idla-scaled", "--n", "100", "--reps", "2000", "--seed", "4"],
-        ["simulate", "ar1", "--n", "5000"],
-        ["simulate", "learn", "--n", "3000", "--format", "json", "--out"],
+        (["verify", "idla-scaled", "--n", "100", "--reps", "2000", "--seed", "4"], 0),
+        (["simulate", "ar1", "--n", "5000"], 0),
+        (["simulate", "learn", "--n", "3000", "--format", "json", "--out"], 0),
+        (["simulate", "ar1", "--n", "0"], 2),
     ],
-    ids=["verify", "simulate-csv", "simulate-json-out"],
+    ids=["verify", "simulate-csv", "simulate-json-out", "bad-input"],
 )
-def test_console_script_exits_as_main_does(capsys, tmp_path, argv):
-    """The golden corpus runs cli.main in process; this runs the same
-    commands to interpreter exit, the two simulate ones and, given two CPUs,
-    the verify one through fan_out's forked children."""
+def test_console_script_exits_as_main_does(capsys, tmp_path, argv, code):
+    """The golden corpus runs cli.main in process only; these commands run
+    to interpreter exit, the three that succeed through fan_out's forked
+    children when two CPUs are usable."""
     out = tmp_path / "out"
     if argv[-1] == "--out":
         argv = [*argv, str(out)]
     done = _run(ENTRY, *argv)
-    assert done.stderr == b""
     fresh = out.read_bytes() if out.exists() else done.stdout
     out.unlink(missing_ok=True)
-    code = cli.main(argv)
+    assert cli.main(argv) == code
     captured = capsys.readouterr()
-    assert captured.err == ""
     assert done.returncode == code
+    assert done.stderr.decode() == captured.err
     assert fresh == (out.read_bytes() if out.exists() else captured.out.encode())
-    assert len(fresh) > 0
+    if code == 0:
+        assert fresh and captured.err == ""
+    else:
+        assert captured.err.startswith("error: ")
