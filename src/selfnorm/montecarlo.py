@@ -128,15 +128,14 @@ def _serve(fds: tuple[int, int], work: Callable, items: Sequence):
         os._exit(code)
 
 
-def fan_out(work: Callable, items: Sequence, w: int | None = None) -> Iterator:
+def fan_out(work: Callable, items: Sequence) -> Iterator:
     """Yield work(item), any picklable value, for each of items in order.
-    Item i runs in process i % W, W = min(w, len(items)), w defaulting to
-    the usable CPUs: 0 is this process, and each other a forked child that
-    pipes back pickled values and, blocked while its pipe is full, runs one
-    item ahead at most.  A child's ValueError or MemoryError is raised again
+    Item i runs in process i % W, W = min(usable CPUs, len(items)): 0 is
+    this process, and each other a forked child that pipes back pickled
+    values and, blocked while its pipe is full, runs one item ahead at most.  A child's ValueError or MemoryError is raised again
     here, other failures as RuntimeError; every child is killed and reaped
     once the generator ends, fails or is closed."""
-    w = min(_cpus() if w is None else w, len(items))
+    w = min(_cpus(), len(items))
     children = {}  # pid: the read end of its pipe, in process order
     try:
         for j in range(1, w):
@@ -184,7 +183,7 @@ def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, n
         # processes.finals is looked up here, so a profiler may rebind it
         return [processes.finals(spec, seed, a, min(a + step, cut[1])) for a in range(*cut, step)]
 
-    parts = [part for chunks in fan_out(stripe, list(zip(cuts, cuts[1:])), w) for part in chunks]
+    parts = [part for chunks in fan_out(stripe, list(zip(cuts, cuts[1:]))) for part in chunks]
     out = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     require_finite(out, f"finals of {spec} over {n_samples} replicates")
     return out

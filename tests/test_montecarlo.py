@@ -240,8 +240,9 @@ FAN_OUT_SPECS = {"ar1": AR1Spec(n=40), "idla": IDLASpec(n=40), "learn": LearnSpe
 
 
 def force_workers(monkeypatch, w):
-    """Run simulate_finals on w processes, at most one per group of 64."""
-    monkeypatch.setattr(montecarlo, "_workers", lambda n_samples: max(1, min(w, n_samples // 64)))
+    """Run fan_out on at most w processes, and so simulate_finals on w, at
+    most one per group of 64, whatever the CPUs of this machine."""
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: w)
 
 
 def bits(finals):
@@ -309,16 +310,28 @@ class TestFanOutValues:
         values[i % 5] = np.nan
         return {"values": values, "inf": np.array([np.inf, -0.0])}, f"item {i}"
 
-    def test_arrays_and_strings_do_not_depend_on_the_process_count(self):
+    def test_arrays_and_strings_do_not_depend_on_the_process_count(self, monkeypatch):
         expected = [self.work(i) for i in range(7)]
         for w in (1, 2, 3):
-            got = list(montecarlo.fan_out(self.work, range(7), w))
+            force_workers(monkeypatch, w)
+            got = list(montecarlo.fan_out(self.work, range(7)))
             assert [text for _, text in got] == [text for _, text in expected]
             for (arrays, _), (want, _) in zip(got, expected):
                 assert_bit_equal(arrays, want)
             assert_no_child_left()
 
-    def test_value_error_subclass_arrives_as_value_error(self):
+    @pytest.mark.parametrize("cpus, n", [(1, 5), (3, 7), (8, 2)])
+    def test_item_i_runs_in_process_i_mod_w(self, monkeypatch, cpus, n):
+        # W = min(usable CPUs, len(items)), and process 0 is this one
+        force_workers(monkeypatch, cpus)
+        pids = list(montecarlo.fan_out(lambda i: os.getpid(), range(n)))
+        w = min(cpus, n)
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == w
+        assert pids == [pids[i % w] for i in range(n)]
+        assert_no_child_left()
+
+    def test_value_error_subclass_arrives_as_value_error(self, monkeypatch):
         class Refused(ValueError):
             """Not picklable: a class local to a function."""
 
@@ -327,14 +340,16 @@ class TestFanOutValues:
                 raise Refused(f"item {i} refused")
             return i
 
+        force_workers(monkeypatch, 2)
         with pytest.raises(ValueError, match="^item 1 refused$") as raised:
-            list(montecarlo.fan_out(work, range(4), 2))
+            list(montecarlo.fan_out(work, range(4)))
         assert type(raised.value) is ValueError
         assert_no_child_left()
 
-    def test_unpicklable_value_names_the_exit_status(self):
+    def test_unpicklable_value_names_the_exit_status(self, monkeypatch):
+        force_workers(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="exit status 3$"):
-            list(montecarlo.fan_out(lambda i: lambda: i, range(4), 2))
+            list(montecarlo.fan_out(lambda i: lambda: i, range(4)))
         assert_no_child_left()
 
 

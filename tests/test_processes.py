@@ -17,14 +17,8 @@ from selfnorm.processes import (
     AR1Spec,
     IDLASpec,
     LearnSpec,
-    ar1_finals,
-    ar1_simulate,
     finals as block_finals,
     idla_exact_moments,
-    idla_finals,
-    idla_simulate,
-    learning_finals,
-    learning_simulate,
     simulate,
     trace_to_csv,
     true_risk,
@@ -191,12 +185,13 @@ class TestRng:
             assert drawn[t] == expected[t::4]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_children_draw_the_same_bits(self):
+    def test_forked_children_draw_the_same_bits(self, monkeypatch):
         # the children inherit this thread's bit generator, already used
         requests = [(seed, 100, 300, 2 * processes.TILE + 3, 0) for seed in range(6)]
         expected = [uniform_rows(*request).tobytes() for request in requests]
         work = lambda request: uniform_rows(*request).tobytes()
-        assert list(montecarlo.fan_out(work, requests, 3)) == expected
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+        assert list(montecarlo.fan_out(work, requests)) == expected
 
     @pytest.mark.parametrize("tile", [4, 8, processes.TILE, 1024])
     def test_tiles_join_into_full_draw(self, tile, monkeypatch):
@@ -233,7 +228,7 @@ class TestAR1:
     spec = AR1Spec(p=1 / 3, theta=0.5, n=100)
 
     def test_noise_support(self):
-        xs = ar1_simulate(self.spec, seed=0).states
+        xs = simulate(self.spec, seed=0).states
         eps = xs[1:] - self.spec.theta * xs[:-1]
         p, q = self.spec.p, self.spec.q
         assert np.all(np.isclose(eps, 2 * q) | np.isclose(eps, -2 * p))
@@ -243,7 +238,7 @@ class TestAR1:
 
     def test_estimator_identity(self):
         for seed in range(5):
-            columns = ar1_simulate(self.spec, seed=seed).columns()
+            columns = simulate(self.spec, seed=seed).columns()
             th = columns["theta_hat"][-1]
             rhs = self.spec.sigma2 * columns["m"][-1] / columns["pqv"][-1]
             assert th - self.spec.theta == pytest.approx(rhs, rel=1e-10)
@@ -263,14 +258,14 @@ class TestAR1:
         for p, theta in ((0.5, 0.5), (1 / 3, 0.5), (1 / 3, 1.0), (0.1, -0.9), (0.25, 1.5)):
             q = 1.0 - p
             for k in range(1, 13):
-                finals = ar1_finals(AR1Spec(p=p, theta=theta, n=k), 0, 0, 2**12)
+                finals = block_finals(AR1Spec(p=p, theta=theta, n=k), 0, 0, 2**12)
                 qv, pqv = finals["qv"], finals["pqv"]
                 assert np.all(p / q * pqv <= qv * (1 + 1e-12))
                 assert np.all(qv <= q / p * pqv * (1 + 1e-12))
             if theta == 0.5:
                 # X_12 spells the replicate's bits in base 1/2: all paths differ
                 assert len(np.unique(finals["x"])) == 2**12
-        columns = ar1_simulate(self.spec, seed=3).columns()
+        columns = simulate(self.spec, seed=3).columns()
         p, q = self.spec.p, self.spec.q
         qv, pqv = columns["qv"][1:], columns["pqv"][1:]
         assert np.all(p / q * pqv <= qv * (1 + 1e-12))
@@ -278,12 +273,12 @@ class TestAR1:
 
     def test_symmetric_case_variations_equal(self):
         spec = AR1Spec(p=0.5, theta=0.5, n=100)
-        columns = ar1_simulate(spec, seed=1).columns()
+        columns = simulate(spec, seed=1).columns()
         assert np.array_equal(columns["qv"], columns["pqv"])
 
     def test_deterministic(self):
-        t1 = ar1_simulate(self.spec, seed=11)
-        t2 = ar1_simulate(self.spec, seed=11)
+        t1 = simulate(self.spec, seed=11)
+        t2 = simulate(self.spec, seed=11)
         assert np.array_equal(t1.states, t2.states)
 
 
@@ -291,7 +286,7 @@ class TestIDLA:
     spec = IDLASpec(n=200)
 
     def test_path_constraints(self):
-        columns = idla_simulate(self.spec, seed=4).columns()
+        columns = simulate(self.spec, seed=4).columns()
         xs = columns["x"]
         ks = np.arange(self.spec.n + 1)
         assert np.all(np.abs(xs) <= ks)
@@ -299,7 +294,7 @@ class TestIDLA:
         assert np.all(columns["r"] - columns["l"] == ks)
 
     def test_pqv_identity(self):
-        trace = idla_simulate(IDLASpec(n=50), seed=8)
+        trace = simulate(IDLASpec(n=50), seed=8)
         xs = trace.states
         n = 50
         expected = sum((k + 1) ** 2 for k in range(1, n + 1)) - sum(
@@ -323,7 +318,7 @@ class TestIDLA:
             prev = cur
 
     def test_second_moment_mc(self):
-        finals = idla_finals(IDLASpec(n=100), 21, 0, 20_000)
+        finals = block_finals(IDLASpec(n=100), 21, 0, 20_000)
         x2 = finals["x"] ** 2
         se = x2.std() / math.sqrt(len(x2))
         assert abs(x2.mean() - 34.0) <= 3 * se
@@ -331,7 +326,7 @@ class TestIDLA:
     def test_conditional_mean_identity(self):
         # E[X_k | X_{k-1}] = (k/(k+1)) X_{k-1}, checked by MC at fixed k
         k = 10
-        finals = idla_finals(IDLASpec(n=k - 1), 31, 0, 40_000)
+        finals = block_finals(IDLASpec(n=k - 1), 31, 0, 40_000)
         x_prev = finals["x"]
         u = uniform_rows(31, 0, 40_000, k)[:, k - 1]
         # step k of the shipped dynamics, fed the uniforms finals would use
@@ -343,10 +338,10 @@ class TestIDLA:
     def test_variation_processes_always_split(self):
         # the step-2 increments of qv and pqv can never agree, so the two
         # processes differ as sequences on every path once n >= 2
-        finals = idla_finals(IDLASpec(n=2), 5, 0, 5000)
+        finals = block_finals(IDLASpec(n=2), 5, 0, 5000)
         assert not np.any(finals["qv"] == finals["pqv"])
         for rep in range(50):
-            columns = idla_simulate(IDLASpec(n=10), seed=5, replicate=rep).columns()
+            columns = simulate(IDLASpec(n=10), seed=5, replicate=rep).columns()
             assert np.any(columns["qv"] != columns["pqv"])
             assert columns["qv"][2] != columns["pqv"][2]
 
@@ -356,18 +351,18 @@ class TestLearning:
 
     def test_perfect_hypothesis_is_degenerate(self):
         spec = LearnSpec(theta_star=0.5, eta=0.0, gamma0=0.5, c0=0.5, n=50)
-        columns = learning_simulate(spec, seed=0).columns()
+        columns = simulate(spec, seed=0).columns()
         # sums of non-negative terms: every loss and every risk is 0
         assert np.all(columns["r_bar"] == 0.0)
         assert np.all(columns["r_hat"] == 0.0)
         assert np.all(columns["m"] == 0.0)
 
     def test_losses_binary(self):
-        loss, _ = step_records(learning_simulate(self.spec, seed=2))[3]
+        loss, _ = step_records(simulate(self.spec, seed=2))[3]
         assert set(np.unique(loss)) <= {0.0, 1.0}
 
     def test_risk_gap_is_scaled_martingale(self):
-        columns = learning_simulate(self.spec, seed=3).columns()
+        columns = simulate(self.spec, seed=3).columns()
         for k in range(1, self.spec.n + 1):
             gap = columns["r_bar"][k] - columns["r_hat"][k]
             assert gap == pytest.approx(columns["m"][k] / k, abs=1e-12)
@@ -388,7 +383,7 @@ class TestLearning:
             )
 
     def test_weighted_variation_cap(self):
-        finals = learning_finals(self.spec, 17, 0, 512)
+        finals = block_finals(self.spec, 17, 0, 512)
         n = self.spec.n
         for a in (1 / 3, 9 / 16, 0.2):
             s = finals["qv"] + weight_c(a) * finals["pqv"]
@@ -571,7 +566,7 @@ class TestStepOnFloatsEqualsStepOnArrays:
 
 
 def test_trace_csv_shape():
-    trace = idla_simulate(IDLASpec(n=4), seed=1)
+    trace = simulate(IDLASpec(n=4), seed=1)
     text = trace_to_csv(trace)
     lines = text.splitlines()
     assert lines[0] == "step,m,qv,pqv,x,l,r"
