@@ -15,7 +15,7 @@ import io
 import itertools
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Iterable
 
 # selfnorm calls no BLAS routine, and the worker threads OpenBLAS starts when
@@ -143,9 +143,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     parser = _Parser(prog="selfnorm")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_parser(subs, ("weights",), argv, ("a_list", "table1"),
+    _add_parser(subs, ("weights",), argv, TABLES["weights"].flags,
                 help="weight functions c(a), b(a)")
-    _add_parser(subs, ("hermite",), argv, ("a_grid", "x_max", "x_steps"),
+    _add_parser(subs, ("hermite",), argv, TABLES["hermite"].flags,
                 help="pointwise inequality margin suite")
     simulate = subs.add_parser("simulate", help="emit one process trace")
     processes = simulate.add_subparsers(dest="process", required=True)
@@ -161,7 +161,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         runs_on = tuple(PROCESSES) if check.any_process else (check.process,)
         specs = [PROCESSES[p] for p in runs_on]
         _add_parser(ids, path, argv, (*check.flags, "reps"), specs, runs_on)
-    _add_parser(subs, ("learning-table",), argv, ("n", "a", "delta", "r_grid"),
+    _add_parser(subs, ("learning-table",), argv, TABLES["learning-table"].flags,
                 help="risk-threshold comparison table")
     return parser
 
@@ -234,30 +234,18 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
 
 
-def _columns(rows: list[dict]) -> list[str]:
-    """Every key of any row, each placed after the key that precedes it in
-    the first row that has it, so rows that omit a column (a bound that does
-    not apply at their level) give the same header in any order."""
-    columns: list[str] = []
-    for row in rows:
-        at = 0
-        for key in row:
-            if key in columns:
-                at = columns.index(key) + 1
-            else:
-                columns.insert(at, key)
-                at += 1
-    return columns
-
-
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
+    """Write an entry's rows, which share one set of keys.  A None value (a
+    bound that does not apply) is left out of its JSON row and written as an
+    empty CSV cell, and a key that is None in every row has no CSV column."""
     if args.format == "json":
+        rows = [{key: value for key, value in row.items() if value is not None} for row in rows]
         text = _dumps(_json_doc(rows, args))
     else:
         buf = io.StringIO()
         if rows:
-            # a row without a column's value leaves its cell empty
-            writer = csv.DictWriter(buf, fieldnames=_columns(rows), lineterminator="\r\n")
+            columns = [key for key in rows[0] if any(row[key] is not None for row in rows)]
+            writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\r\n")
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
@@ -285,15 +273,6 @@ def _json_rows(trace: ProcessTrace, lo: int) -> str:
     rows = zip(values["m"].tolist(), values["pqv"].tolist(), values["qv"].tolist(), range(lo, hi))
     block = ",\n    ".join(_JSON_TRACE_ROW % row for row in rows)
     return block if lo == 0 else ",\n    " + block
-
-
-def run_weights(args: argparse.Namespace) -> int:
-    if args.table1:
-        a_list = [a for a, _ in TABLE1]
-    else:
-        a_list = args.a_list if args.a_list is not None else [1 / 3]
-    _emit([{"a": a, "c": bounds.weight_c(a), "b": bounds.weight_b(a)} for a in a_list], args)
-    return 0
 
 
 def run_simulate(args: argparse.Namespace) -> int:
@@ -329,9 +308,9 @@ def _keep_own_fields(args: argparse.Namespace, process: str) -> None:
             raise ValueError(f"{flag} does not apply: the {process} process has no {name}")
 
 
-def run_check(args: argparse.Namespace, check_id: str) -> int:
-    """Evaluate one entry of the verification table and emit its rows."""
-    check = montecarlo.CHECKS[check_id]
+def run_check(args: argparse.Namespace, check: montecarlo.Check) -> int:
+    """Evaluate a verify id's or a TABLES entry and emit its rows.  Exit 1
+    exactly when some row's satisfied is False."""
     if check.process is not None:
         # the JSON header names the process that runs
         args.process = args.process or check.process
@@ -340,28 +319,44 @@ def run_check(args: argparse.Namespace, check_id: str) -> int:
         _keep_own_fields(args, args.process)
     rows = montecarlo.verify(check, args)
     _emit(rows, args)
-    return 0 if all(row["satisfied"] for row in rows) else 1
+    return 0 if all(row.get("satisfied", True) for row in rows) else 1
 
 
-def run_learning_table(args: argparse.Namespace) -> int:
-    r_grid = args.r_grid or [i / 10 for i in range(11)]
-    rows = []
-    for r in r_grid:
-        # the inversion goes first: below its floor it names the least usable n
-        oslr3 = bounds.learning_phi_inverse(r, args.n, args.a, args.delta)
-        oslr2 = r + bounds.learning_threshold(args.n, args.a, args.delta, 1.0)
-        cbg = bounds.cbg_threshold(r, args.n, args.delta)
-        rows.append(
-            {
-                "r_hat": r,
-                "oslr2": oslr2,
-                "oslr3": oslr3,
-                "cbg": cbg,
-                "cbg_minus_oslr3": cbg - oslr3,
-            }
-        )
-    _emit(rows, args)
-    return 0
+def _weights_grid(run) -> list[float]:
+    if run.table1:
+        return [a for a, _ in TABLE1]
+    return run.a_list if run.a_list is not None else [1 / 3]
+
+
+def _learning_row(run, r: float) -> dict:
+    # the inversion goes first: below its floor it names the least usable n
+    oslr3 = bounds.learning_phi_inverse(r, run.n, run.a, run.delta)
+    oslr2 = r + bounds.learning_threshold(run.n, run.a, run.delta, 1.0)
+    cbg = bounds.cbg_threshold(r, run.n, run.delta)
+    return {
+        "r_hat": r,
+        "oslr2": oslr2,
+        "oslr3": oslr3,
+        "cbg": cbg,
+        "cbg_minus_oslr3": cbg - oslr3,
+    }
+
+
+# The subcommands besides verify that print rows, as montecarlo.Check
+# entries; they are not verify ids.  hermite reads the x-range that verify
+# hermite keeps fixed.
+TABLES = {
+    "weights": montecarlo.Check(
+        None, 0, _weights_grid,
+        lambda run, a: {"a": a, "c": bounds.weight_c(a), "b": bounds.weight_b(a)},
+        flags=("a_list", "table1"),
+    ),
+    "hermite": replace(montecarlo.CHECKS["hermite"], flags=("a_grid", "x_max", "x_steps")),
+    "learning-table": montecarlo.Check(
+        None, 0, lambda run: run.r_grid or [i / 10 for i in range(11)], _learning_row,
+        flags=("n", "a", "delta", "r_grid"),
+    ),
+}
 
 
 def main(argv=None) -> int:
@@ -370,14 +365,11 @@ def main(argv=None) -> int:
         args = _parse_args(argv)
         if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
-        dispatch = {
-            "weights": run_weights,
-            "hermite": lambda args: run_check(args, "hermite"),
-            "simulate": run_simulate,
-            "verify": lambda args: run_check(args, args.inequality),
-            "learning-table": run_learning_table,
-        }
-        return dispatch[args.command](args)
+        if args.command == "simulate":
+            return run_simulate(args)
+        if args.command == "verify":
+            return run_check(args, montecarlo.CHECKS[args.inequality])
+        return run_check(args, TABLES[args.command])
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 2 if code not in (0,) else 0

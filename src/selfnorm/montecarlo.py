@@ -211,20 +211,19 @@ def estimate_expectation(values: np.ndarray) -> dict:
 def _tail_check(process, reps, grid, event, bound_columns, dominating=(), **kw) -> Check:
     """A tail check: event(run, x) is the per-replicate indicator at level x,
     and each bound column maps to bound(run, x), None where it does not apply.
-    Its row at x holds x, y when set, bound_<name> per applicable bound, the
+    Its row at x holds x, y (None when unset), bound_<name> per bound, the
     estimate, and satisfied.  The one place that decides whether a tail row
-    holds: ci_lo must not exceed any dominating bound, the bounds theory
-    guarantees (all when dominating is empty).
+    holds: ci_lo must not exceed any dominating bound that applies, the
+    bounds theory guarantees (all when dominating is empty).
     """
 
     def row(run, x: float) -> dict:
         cols = {name: bound(run, x) for name, bound in bound_columns.items()}
-        cols = {name: value for name, value in cols.items() if value is not None}
-        dom = tuple(name for name in dominating or cols if name in cols)
+        dom = [name for name in dominating or cols if cols[name] is not None]
         est = summarize_indicators(event_indicator(event, run, x), run.alpha)
-        head = {"x": x} if run.y is None else {"x": x, "y": run.y}
         return {
-            **head,
+            "x": x,
+            "y": run.y,
             **{f"bound_{name}": value for name, value in cols.items()},
             **est,
             "satisfied": all(est["ci_lo"] <= cols[name] for name in dom),
@@ -259,7 +258,7 @@ def _set_y_median_s(run) -> None:
 def _set_y_pqv_margin(run) -> None:
     run.y = float(np.median(bounds.weight_c(run.a) * run.finals["pqv"] - run.finals["qv"]))
     if run.y <= 0.0:
-        raise ValueError("c(a)<M>_n - [M]_n is not positive at the median; pick a larger a")
+        raise ValueError("c(a)<M>_n - [M]_n is not positive at the median; pick a smaller a")
 
 
 # Events of the tail and learning checks: event(run, x) is the per-replicate
@@ -389,13 +388,16 @@ def _coverage_check(event: Callable) -> Check:
 
 @dataclass(frozen=True)
 class Check:
-    """One ``selfnorm verify`` id: a grid of keys and a row per key.
+    """One table the CLI prints: a grid of keys and a row per key.  Each
+    ``CHECKS`` entry is a ``selfnorm verify`` id; ``cli.TABLES`` holds those
+    of ``weights``, ``hermite`` and ``learning-table``, which are not ids.
 
     process is simulated once per command (None: nothing is simulated), with
     reps replicates unless --reps is given; any_process lets --process
     replace it.  prepare(run) then sets the level y.  grid is the tuple of
     row keys, or grid(run) computes them, and row(run, key) builds the
-    output row of each key.  flags names the destinations of the other flags
+    output row of each key, every row with the same keys (None where a
+    value does not apply).  flags names the destinations of the other flags
     the check reads: its parser has these and, if it simulates, --process,
     --reps, --seed and the process fields.  With x_grid among them,
     --x-grid replaces the grid.

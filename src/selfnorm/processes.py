@@ -8,10 +8,12 @@ cond_second_moment, terms)``, where terms are the step's summands of the
 process's statistics, named by ``spec.terms``; ``spec.stats(x, sums, k)``
 forms the statistics after k steps from the state and the running sums of
 the terms, and its keys, in order, are the trace CSV columns after m, qv and
-pqv.  Both use only operators (and ``_clip01`` and ``_sqrt`` for the
-learner), so the same definition works on Python floats or on arrays, with
-the same bits.  IDLA's step compares its uniform against ``IDLASpec.up``,
-the one definition of its up-probability.
+pqv.  Both use only operations that round the same way on floats and on
+arrays: +, -, *, /, comparisons, ``abs``, clipping (``_clip01``) and sqrt
+(``_sqrt``).  So the same definition works on Python floats or on arrays,
+with the same bits; numpy's array ``exp``, ``log1p`` and ``**`` do not
+always round as libm's float results do.  IDLA's step compares its uniform
+against ``IDLASpec.up``, the one definition of its up-probability.
 
 Two drivers run the steps.  :func:`finals` advances a block of replicates
 and keeps running totals of the increments, their squares, the conditional
@@ -153,8 +155,7 @@ class IDLASpec:
 
     def step(self, x, u, k):
         x_new = x + (2.0 * (u[0] < self.up(x, k)) - 1.0)
-        # a product, not ** 2: on a float, ** 2 is libm's pow, which past
-        # 2**53 does not always round as numpy's square of an array does
+        # a product, not ** 2, by the rule on a step's operations above
         return x_new, (k + 1) * x_new - k * x, (k + 1.0) * (k + 1.0) - x * x, ()
 
     def stats(self, x, sums, k):

@@ -162,6 +162,12 @@ CASES = [
         for grid in ("100,0.01", "0.01,100")
         for fmt in ("csv", "json")
     ),
+    # the BT2008 bound applies only where c(a) = 1, at a = 9/16
+    *(
+        Case(("verify", "weighted-tail", "--a", "9/16", "--n", "30", "--reps", "2000",
+              "--seed", "3", "--format", fmt))
+        for fmt in ("csv", "json")
+    ),
     *_simulate_cases(),
     # every bad input exits 2 with one error: line
     *_refused_process_cases(),
@@ -180,6 +186,8 @@ CASES = [
     Case(("simulate", "idla", "--n", "3"), config={"format": "xml"}),
     Case(("weights",), config={"table1": "yes"}),
     Case(("verify", "ar-estimator", "--theta", "3", "--n", "1000", "--reps", "200")),
+    # c(a) falls as a grows: at a = 0.6 the level c(a)<M>_n - [M]_n is not positive
+    Case(("verify", "pqv-ratio", "--a", "0.6", "--n", "30", "--reps", "200", "--seed", "3")),
     # an explosive path overflows: the error counts the non-finite entries
     # of each whole column, in either format
     *(

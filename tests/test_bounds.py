@@ -3,6 +3,7 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,7 +227,6 @@ class TestBaselines:
         # it decrease monotonically onto the exact root; the float solve
         # must stop within 1e-12 of it wherever x^2 outgrows the spacing
         # of floats near it (first at x = 91), up to where 2 x^2 overflows
-        mpmath = pytest.importorskip("mpmath")
 
         def root(x):
             with mpmath.workdps(50):
@@ -246,7 +246,6 @@ class TestBaselines:
         # h(y) ~ y^2/2 cancels in its closed form for small y, so the solve
         # must sum its series there and stop on a relative test; the
         # reference is Newton in 60 digits from above, as in the test above
-        mpmath = pytest.importorskip("mpmath")
 
         def root(x):
             with mpmath.workdps(60):
@@ -326,7 +325,6 @@ class TestKearnsSaul:
 
     def test_matches_mpmath_near_half(self):
         # (q - p)/log(q/p) lost up to 2.5e-8 of its value next to p = 1/2
-        mpmath = pytest.importorskip("mpmath")
         near_half = [0.5 - 10.0**e for e in np.linspace(-16, -1, 600)]
         spread = np.linspace(0.001, 0.999, 402)[1:-1]
         worst = 0.0

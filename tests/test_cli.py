@@ -557,16 +557,27 @@ def test_reps_below_floor_exits_2(capsys, check_id, reps):
     assert captured.err.splitlines() == [f"error: reps must be at least 100, got {reps}"]
 
 
-@pytest.mark.parametrize("check_id", ["weighted-tail", "ratio-tail"])
-def test_zero_normalizer_exits_2(capsys, check_id):
-    # eta 0: the learner never errs, so S_n(a) = 0 on every replicate
-    argv = ["verify", check_id, "--process", "learn", "--eta", "0", "--c0", "0.5",
-            "--theta-star", "0.5", "--n", "10", "--reps", "100"]
+# eta 0: the learner never errs, so S_n(a) = 0 on every replicate
+NEVER_ERRS = ["--process", "learn", "--eta", "0", "--c0", "0.5", "--theta-star", "0.5",
+              "--n", "10", "--reps", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, phrase",
+    [
+        pytest.param(["verify", "weighted-tail", *NEVER_ERRS], "S_n(a)", id="weighted-tail"),
+        pytest.param(["verify", "ratio-tail", *NEVER_ERRS], "S_n(a)", id="ratio-tail"),
+        # c(a) falls as a grows, and at a = 0.6 c(a)<M>_n < [M]_n at the median
+        pytest.param(["verify", "pqv-ratio", "--a", "0.6", "--n", "30", "--reps", "200",
+                      "--seed", "3"], "pick a smaller a", id="pqv-ratio"),
+    ],
+)
+def test_zero_normalizer_exits_2(capsys, argv, phrase):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: ") and "S_n(a)" in line
+    assert line.startswith("error: ") and phrase in line
 
 
 def test_weighted_tail_bt2008_at_unit_weight(capsys):
@@ -606,6 +617,13 @@ class TestLearningTable:
         # smallest usable horizon for the defaults a=1/3, delta=0.2
         floor = -(1 / 3) * 6.0 * math.log(0.2)
         assert main(["learning-table", "--n", str(math.ceil(floor))]) == 0
+
+
+@pytest.mark.parametrize("argv", [["weights", "--table1"], ["hermite"], ["learning-table"]])
+def test_table_rows_share_one_set_of_keys(argv):
+    rows = montecarlo.verify(cli.TABLES[argv[0]], cli._parse_args(argv))
+    assert len(rows) > 1
+    assert all(list(row) == list(rows[0]) for row in rows)
 
 
 class TestConfigFile:

@@ -169,7 +169,7 @@ class TestCompare:
 
     def test_ar_out_of_range_drops_weighted(self):
         (row,) = verify(CHECKS["ar-estimator"], params(x_grid=[5.0], seed=8))
-        assert "bound_weighted" not in row
+        assert row["bound_weighted"] is None
         assert "bound_gauss-ar" in row
 
     def test_learning_rows_satisfied(self):
@@ -218,6 +218,8 @@ class TestVerify:
         takes = "x_grid" in check.flags
         flags = dict(reps=200, n=30, a_grid=(1 / 3,))
         rows = verify(check, params(**flags, x_grid=[0.7]))
+        # every row of an entry has the same keys in the same order
+        assert all(list(row) == list(rows[0]) for row in verify(check, params(**flags)))
         if takes:
             assert [row["x"] for row in rows] == [0.7]
         else:
