@@ -2,7 +2,12 @@
 
 Everything in this module is a pure function of its arguments.  All
 probability-valued bounds are capped at 1 before return so downstream
-comparison tables always hold valid probabilities.
+comparison tables always hold valid probabilities.  The weighted normalizer
+S_n(a) = [M]_n + c(a)<M>_n (:func:`s_weighted`) and the supermartingale
+V_n(t) = exp(t M_n - (a t^2/2)[M]_n - (b(a) t^2/2)<M>_n)
+(:func:`supermartingale_weight`) are written with operators only, so one
+definition takes the values of a path at one step as floats or the finals of
+many replicates as arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ __all__ = [
     "HolderPair",
     "weight_c",
     "weight_b",
+    "s_weighted",
+    "supermartingale_weight",
     "hermite_margin",
     "pab_discriminant",
     "exp_tail_bound",
@@ -55,6 +62,7 @@ TABLE1 = (
     (4 / 5, 2 / 3),
 )
 
+
 def _check_weight(a: float) -> None:
     if not a > ADMISSIBLE_MIN:
         raise ValueError(f"weight parameter a must be > 1/8, got {a}")
@@ -88,6 +96,27 @@ def weight_b(a: float) -> float:
     # the excess is below half an ulp of 1/2 from a ~ 2.4e7 on, where the
     # rounded quotient could land under 1/2; 1/2 is nearer
     return max(0.5, 2.0 * a * _weight_factor(a) / (8.0 * a - 1.0))
+
+
+def s_weighted(qv, pqv, a: float):
+    """Weighted normalization S_n(a) = [M]_n + c(a) <M>_n, of floats or of arrays.
+
+    The operand order is fixed: every caller gets the same bits.
+    """
+    return qv + weight_c(a) * pqv
+
+
+def supermartingale_weight(m, qv, pqv, t: float, a: float):
+    """Exponential weight exp(t M - (a t^2/2)[M] - (b(a) t^2/2)<M>), of floats
+    or of arrays.
+
+    The exponent is formed first and exponentiated once, so large |t| M
+    cannot overflow intermediate terms; an exponent past the float range
+    gives inf.
+    """
+    b = weight_b(a)
+    with np.errstate(over="ignore"):
+        return np.exp(t * m - 0.5 * a * t * t * qv - 0.5 * b * t * t * pqv)
 
 
 @dataclass(frozen=True)

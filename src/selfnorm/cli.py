@@ -378,7 +378,8 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         # numpy's message names the size it could not allocate
-        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        message = f"error: out of memory: {exc}" if str(exc) else "error: out of memory"
+        print(message, file=sys.stderr)
         return 2
 
 

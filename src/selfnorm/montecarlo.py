@@ -32,7 +32,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import bounds, processes
-from .martingale import s_weighted, supermartingale_weight
 from .processes import (
     ProcessSpec,
     idla_exact_moments,
@@ -95,8 +94,8 @@ def summarize_indicators(indicators: np.ndarray, alpha: float) -> dict:
 def _cpus() -> int:
     """Usable CPUs; 1 without fork or sched_getaffinity in os, or while
     another thread runs (a fork can deadlock it)."""
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    return len(os.sched_getaffinity(0)) if forks else 1
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks and threading.active_count() == 1 else 1
 
 
 def _workers(n_samples: int) -> int:
@@ -132,9 +131,10 @@ def fan_out(work: Callable, items: Sequence) -> Iterator:
     """Yield work(item), any picklable value, for each of items in order.
     Item i runs in process i % W, W = min(usable CPUs, len(items)): 0 is
     this process, and each other a forked child that pipes back pickled
-    values and, blocked while its pipe is full, runs one item ahead at most.  A child's ValueError or MemoryError is raised again
-    here, other failures as RuntimeError; every child is killed and reaped
-    once the generator ends, fails or is closed."""
+    values and, blocked while its pipe is full, runs one item ahead at
+    most.  A child's ValueError or MemoryError is raised again here, other
+    failures as RuntimeError; every child is killed and reaped once the
+    generator ends, fails or is closed."""
     w = min(_cpus(), len(items))
     children = {}  # pid: the read end of its pipe, in process order
     try:
@@ -247,7 +247,7 @@ def _ar_limit(run) -> float:
 
 
 def _set_y_median_s(run) -> None:
-    run.y = float(np.median(s_weighted(run.finals["qv"], run.finals["pqv"], run.a)))
+    run.y = float(np.median(bounds.s_weighted(run.finals["qv"], run.finals["pqv"], run.a)))
     if run.y <= 0.0:
         raise ValueError(
             "S_n(a) = [M]_n + c(a)<M>_n is not positive at the median; "
@@ -268,14 +268,14 @@ def _set_y_pqv_margin(run) -> None:
 def _mart_abs(run, x: float) -> np.ndarray:
     """|M_n| >= x and S_n(a) <= y."""
     f = run.finals
-    s = s_weighted(f["qv"], f["pqv"], run.a)
+    s = bounds.s_weighted(f["qv"], f["pqv"], run.a)
     return (np.abs(f["m"]) >= x) & (s <= run.y)
 
 
 def _mart_ratio(run, x: float) -> np.ndarray:
     """|M_n|/S_n(a) >= x and S_n(a) >= y."""
     f = run.finals
-    s = s_weighted(f["qv"], f["pqv"], run.a)
+    s = bounds.s_weighted(f["qv"], f["pqv"], run.a)
     return (np.abs(f["m"]) >= x * s) & (s >= run.y)
 
 
@@ -290,7 +290,7 @@ def _mart_missing(run, x: float) -> np.ndarray:
     """|M_n|/sqrt(a S_n(a) + E[M_n^2]) >= x/sqrt(B_2), on IDLA's exact E[M_n^2]."""
     f = run.finals
     hp = bounds.HolderPair.make(2.0)
-    s = s_weighted(f["qv"], f["pqv"], run.a)
+    s = bounds.s_weighted(f["qv"], f["pqv"], run.a)
     denom = np.sqrt(run.a * s + idla_exact_moments(run.spec.n)[1])
     return np.abs(f["m"]) >= x / math.sqrt(hp.B) * denom
 
@@ -370,7 +370,7 @@ def _ar_laplace_row(run, divisor: float) -> dict:
 def _supermartingale_row(run, key: tuple[float, float]) -> dict:
     a, t = key
     f = run.finals
-    est = estimate_expectation(supermartingale_weight(f["m"], f["qv"], f["pqv"], t, a))
+    est = estimate_expectation(bounds.supermartingale_weight(f["m"], f["qv"], f["pqv"], t, a))
     ok = est["mc_mean"] <= 1.0 + 3.0 * est["mc_se"]
     return {"process": run.process, "a": a, "t": t, **est, "satisfied": ok}
 
@@ -436,7 +436,7 @@ CHECKS = {
         "idla", 100_000,
         _quantiles(
             lambda run: np.abs(run.finals["m"])
-            / s_weighted(run.finals["qv"], run.finals["pqv"], run.a)
+            / bounds.s_weighted(run.finals["qv"], run.finals["pqv"], run.a)
         ),
         _mart_ratio,
         {"weighted": lambda run, x: bounds.ratio_tail_bound(x, run.y, run.a)},
@@ -482,6 +482,7 @@ CHECKS = {
         "idla", 10_000, _SUPERMG_GRID, _supermartingale_row, any_process=True
     ),
 }
+
 
 def verify(check: Check, params) -> list[dict]:
     """Rows of one check for the command's flag values (params).

@@ -1,7 +1,10 @@
+import itertools
 import math
 import re
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -32,6 +35,8 @@ from selfnorm.bounds import (
     pab_discriminant,
     pqv_ratio_bound,
     ratio_tail_bound,
+    s_weighted,
+    supermartingale_weight,
     weight_b,
     weight_c,
 )
@@ -109,6 +114,97 @@ class TestWeights:
         mid = (a1 + a3) / 2.0
         c = np.vectorize(weight_c)
         assert np.all(c(mid) < (c(a1) + c(a3)) / 2.0)
+
+
+def running_sums(increments, cond_second_moments):
+    """M_k, [M]_k and <M>_k for k = 0..n: the running sums from 0 of the
+    increments, their squares and the conditional second moments, added left
+    to right as the drivers add them."""
+    inc = np.asarray(increments, dtype=float)
+    csm = np.asarray(cond_second_moments, dtype=float)
+    return tuple(np.cumsum([0.0, *values]) for values in (inc, inc * inc, csm))
+
+
+class TestSWeighted:
+    def test_zero_at_origin(self):
+        _, qv, pqv = running_sums([1.0, -2.0], [1.0, 4.0])
+        assert s_weighted(qv[0], pqv[0], 1 / 3) == 0.0
+
+    def test_equal_variations_collapse(self):
+        # qv[k] = pqv[k] = v gives (1 + c(a)) v
+        _, qv, pqv = running_sums([2.0], [4.0])
+        assert s_weighted(qv[1], pqv[1], 1 / 3) == pytest.approx(3.0 * 4.0, abs=1e-12)
+        # a = 9/16: c = 1, so S = qv + pqv
+        assert s_weighted(qv[1], pqv[1], 9 / 16) == pytest.approx(8.0, abs=1e-12)
+
+    def test_monotone_in_k(self):
+        rng = np.random.default_rng(2)
+        _, qv, pqv = running_sums(rng.normal(size=100), rng.uniform(size=100))
+        for a in (0.13, 1 / 3, 9 / 16, 3.0):
+            values = s_weighted(qv, pqv, a)
+            assert np.all(np.diff(values) >= 0.0)
+
+    def test_domain_error(self):
+        _, qv, pqv = running_sums([1.0], [1.0])
+        with pytest.raises(ValueError):
+            s_weighted(qv[1], pqv[1], 0.1)
+
+
+class TestSupermartingaleWeight:
+    @staticmethod
+    def weight(path, t, a, k):
+        m, qv, pqv = path
+        return supermartingale_weight(m[k], qv[k], pqv[k], t, a)
+
+    def test_t_zero_is_one(self):
+        path = running_sums([1.0, 2.0], [1.0, 4.0])
+        for k in range(3):
+            assert self.weight(path, 0.0, 1 / 3, k) == 1.0
+
+    def test_zero_path_is_one(self):
+        path = running_sums([0.0] * 5, [0.0] * 5)
+        for t in (-2.0, 0.5, 10.0):
+            assert self.weight(path, t, 1 / 3, 5) == 1.0
+
+    def test_positive_and_no_overflow(self):
+        path = running_sums([1e3] * 10, [1e6] * 10)
+        v = self.weight(path, 5.0, 1 / 3, 10)
+        assert v >= 0.0 and np.isfinite(v)
+
+    def test_overflow_is_inf(self):
+        # an exponent past the float range gives inf, with no warning raised
+        assert supermartingale_weight(1e3, 0.0, 0.0, 1.0, 1 / 3) == np.inf
+
+    @given(st.floats(min_value=-1.0, max_value=1.0))
+    def test_matches_direct_formula(self, t):
+        path = running_sums([1.0, -0.5], [1.0, 0.25])
+        m, qv, pqv = path
+        a, b = 1 / 3, 2 / 3
+        expected = np.exp(t * m[2] - a * t * t / 2 * qv[2] - b * t * t / 2 * pqv[2])
+        assert self.weight(path, t, 1 / 3, 2) == pytest.approx(float(expected), rel=1e-12)
+
+
+def test_array_forms_equal_float_forms():
+    # one definition: on an array, each formula gives bit for bit what it
+    # gives on each element as a Python float
+    rng = np.random.default_rng(3)
+    ms, qvs, pqvs = running_sums(rng.normal(size=300), rng.uniform(size=300))
+    xs = np.concatenate((np.linspace(-60.0, 60.0, 241), [1e160, -1e160]))
+    for a in (0.13, 1 / 3, 9 / 16, 3.0):
+        s = s_weighted(qvs, pqvs, a)
+        assert s.tobytes() == np.array(
+            [s_weighted(float(q), float(v), a) for q, v in zip(qvs, pqvs)]
+        ).tobytes()
+        for t in (-2.0, -0.05, 0.01, 3.0):
+            w = supermartingale_weight(ms, qvs, pqvs, t, a)
+            assert w.tobytes() == np.array(
+                [
+                    supermartingale_weight(float(m), float(q), float(v), t, a)
+                    for m, q, v in zip(ms, qvs, pqvs)
+                ]
+            ).tobytes()
+        margin = hermite_margin(xs, a)
+        assert margin.tobytes() == np.array([hermite_margin(float(x), a) for x in xs]).tobytes()
 
 
 class TestHermite:
@@ -501,3 +597,345 @@ class TestLearning:
             learning_threshold(100, 1 / 3, 0.2, 1.5)
         with pytest.raises(ValueError):
             cbg_threshold(-0.1, 100, 0.2)
+
+
+# The accuracy table: each closed form of bounds against a 50-digit mpmath
+# reference on a fixed grid of its domain.  Each tolerance is the bound of a
+# first-order error model, rounded up, written down before the table first
+# ran.  u = 2^-53 is the unit roundoff.  An input double is exact; + - * /
+# and sqrt round once (u); math's exp, log and pow are within 1 ulp (2u),
+# numpy's SIMD exp within 4 ulp (8u); weight_c and weight_b are within 2 ulp
+# (4u, TestWeights).  A sum of nonnegative terms adds u to the largest
+# relative error among them; exp(z) turns an error of e * |z| in z into a
+# relative error of e * |z|.  A miss is a defect in the closed form: never
+# widen its tolerance.
+U = 2.0**-53
+
+
+def _mp_c(a):
+    return 2 * (1 - 2 * a + 2 * mpmath.sqrt(a * (a + 1))) / (8 * a - 1)
+
+
+def _mp_gauss_root(x):
+    h = lambda y: (1 + y) * mpmath.log1p(y) - y - x * x
+    return mpmath.findroot(h, (mpmath.mpf(0), max(2 * x * x, 4 * x)), solver="anderson")
+
+
+def _mp_ar_rate(a, p):
+    c = _mp_c(a)
+    return 4 * ((1 - p) ** 2 + p * (1 - p) * c) ** 2 / (p * p + p * (1 - p) * c)
+
+
+def _mp_idla_cn(n, a):
+    c = _mp_c(a)
+    return (2 * n + 1) / (n + 1) * (3 + c) / 6 + (n * (1 + c) + 2 * c) / (n + 1) ** 2
+
+
+def _mp_learning_B(n, a, delta):
+    return -2 * a * mpmath.log(delta) / n
+
+
+def _ar_x_grid():
+    # x = f sqrt(a d(a)) stays inside the bound's range [0, sqrt(a d(a))]
+    return [
+        (f * math.sqrt(a * ar_rate(a, p)), n, p, a)
+        for f in (0.0, 0.1, 0.5, 0.9)
+        for n in (1, 50, 1000)
+        for p in (0.1, 0.25, 0.5)
+        for a in (0.13, 1 / 3, 9 / 16, 3.0)
+    ]
+
+
+def _idla_scaled_grid():
+    # x = s/sqrt(n) keeps n x^2 on the same scale for every n
+    return [
+        (s / math.sqrt(n), n, a)
+        for s in (0.3, 1.0, 3.0, 10.0)
+        for n in (1, 10, 100, 10_000)
+        for a in (0.13, 1 / 3, 9 / 16)
+    ]
+
+
+def _grid(*axes):
+    return list(itertools.product(*axes))
+
+
+A_WIDE = (0.13, 9 / 55, 1 / 3, 9 / 16, 3.0, 1e3)
+A_TAIL = (0.13, 1 / 3, 9 / 16, 3.0)
+A_NARROW = (0.13, 9 / 55, 4 / 21, 9 / 40, 25 / 96, 1 / 3, 0.5, 9 / 16)
+S_VALUES = (0.0, 1e-300, 0.7, 3.0, 12.5, 1e5, 1e200)
+
+
+def _exp_tol(ulps, z, ref):
+    """For 2 exp(-z): a relative error of ulps * u in z, and exp's own."""
+    return ulps * U * (1.0 + z) * ref
+
+
+@dataclass(frozen=True)
+class Accuracy:
+    """One row: fn against ref (the same formula in mpmath) on grid, each
+    point within tol(*point, ref) of the reference ref."""
+
+    fn: Callable
+    ref: Callable
+    grid: list
+    tol: Callable
+
+
+ACCURACY = {
+    # qv + c pqv: c 4u, the product u, a sum of nonnegatives u
+    "s_weighted": Accuracy(
+        s_weighted,
+        lambda qv, pqv, a: qv + _mp_c(a) * pqv,
+        _grid(S_VALUES, S_VALUES, A_WIDE),
+        lambda qv, pqv, a, ref: 8 * U * ref,
+    ),
+    # exponent t m - 0.5 a t t qv - 0.5 b t t pqv: the terms carry u, 3u and
+    # 7u, the two subtractions u each of what they add, so the exponent is
+    # off by at most 8u times S, the sum of the terms' magnitudes; np.exp 8u
+    "supermartingale_weight": Accuracy(
+        supermartingale_weight,
+        lambda m, qv, pqv, t, a: mpmath.exp(
+            t * m - a * t * t / 2 * qv - a * _mp_c(a) * t * t / 2 * pqv
+        ),
+        _grid(
+            (-20.0, -1.5, 0.0, 2.5, 30.0),
+            (0.0, 0.7, 12.0),
+            (0.0, 0.7, 12.0),
+            (-2.0, -0.05, 0.01, 1.5),
+            A_TAIL,
+        ),
+        lambda m, qv, pqv, t, a, ref: 16
+        * U
+        * (1 + abs(t * m) + 0.5 * t * t * (a * qv + weight_b(a) * pqv))
+        * ref,
+    ),
+    # absolute: P = 1 + x + Q, Q = b x^2/2 off by 7u, P by u(2(1 + |x|) + 8Q);
+    # e = exp(x - a x^2/2) off by e(3u(|x| + a x^2/2) + 8u); the difference u
+    "hermite_margin": Accuracy(
+        hermite_margin,
+        lambda x, a: 1 + x + a * _mp_c(a) * x * x / 2 - mpmath.exp(x - a * x * x / 2),
+        _grid(
+            (-40.0, -12.0, -3.0, -1.0, -1e-3, -1e-8, 0.0, 1e-8, 1e-3, 0.5, 1.0, 3.0, 12.0, 40.0),
+            A_TAIL,
+        ),
+        lambda x, a, ref: 16
+        * U
+        * (
+            1
+            + abs(x)
+            + 0.5 * weight_b(a) * x * x
+            + math.exp(x - 0.5 * a * x * x) * (1 + abs(x) + 0.5 * a * x * x)
+        ),
+    ),
+    # absolute: D1 = (2a - b)^2/4 off by 6u D1; s = a + b - 1 by u(a + b + |s|),
+    # so D2 = 2ab s by 2ab u(a + b + 3|s|); the difference u(D1 + |D2|)
+    "pab_discriminant": Accuracy(
+        pab_discriminant,
+        lambda a, b: (2 * a - b) ** 2 / 4 - 2 * a * b * (a + b - 1),
+        [
+            (a, b)
+            for a in (0.13, 9 / 55, 1 / 3, 9 / 16, 3.0)
+            for b in (0.51, 0.6, 0.7, 1.0, 3.0, weight_b(a))
+            if b != 1.0 - a
+        ],
+        lambda a, b, ref: 8
+        * U
+        * ((2 * a - b) ** 2 / 4 + 2 * a * b * (a + b + abs(a + b - 1))),
+    ),
+    # z = x^2/(2ay): 3u; math.exp 2u
+    "exp_tail_bound": Accuracy(
+        exp_tail_bound,
+        lambda x, y, a: min(1, 2 * mpmath.exp(-x * x / (2 * a * y))),
+        _grid((0.1, 1.0, 3.0, 8.0), (0.5, 10.0, 1e3), A_TAIL),
+        lambda x, y, a, ref: _exp_tol(4, x * x / (2 * a * y), ref),
+    ),
+    # z = x^2 y/(2a): 3u; math.exp 2u
+    "ratio_tail_bound": Accuracy(
+        ratio_tail_bound,
+        lambda x, y, a: min(1, 2 * mpmath.exp(-x * x * y / (2 * a))),
+        _grid((0.01, 0.1, 1.0, 2.5), (0.5, 10.0, 20.0), A_TAIL),
+        lambda x, y, a, ref: _exp_tol(4, x * x * y / (2 * a), ref),
+    ),
+    # z = x^2 y/(2a c c): the numerator 2u, the denominator 10u, the quotient
+    # u; math.exp 2u
+    "pqv_ratio_bound": Accuracy(
+        pqv_ratio_bound,
+        lambda x, y, a: min(1, 2 * mpmath.exp(-x * x * y / (2 * a * _mp_c(a) ** 2))),
+        _grid((0.01, 0.1, 1.0, 2.0), (0.5, 10.0, 20.0), A_TAIL),
+        lambda x, y, a, ref: _exp_tol(16, x * x * y / (2 * a * weight_c(a) ** 2), ref),
+    ),
+    # z = x^2/(2y): 2u; math.exp 2u
+    "bt2008_bound": Accuracy(
+        bt2008_bound,
+        lambda x, y: min(1, 2 * mpmath.exp(-x * x / (2 * y))),
+        _grid((0.1, 1.0, 3.0, 10.0), (0.5, 10.0, 1e3)),
+        lambda x, y, ref: _exp_tol(4, x * x / (2 * y), ref),
+    ),
+    # z = 3 n x^2/8: 2u; math.exp 2u
+    "azuma_idla_bound": Accuracy(
+        azuma_idla_bound,
+        lambda x, n: min(1, 2 * mpmath.exp(-3 * n * x * x / 8)),
+        _grid((0.01, 0.1, 0.5, 1.0), (1, 10, 100, 1000)),
+        lambda x, n, ref: _exp_tol(4, 3 * n * x * x / 8, ref),
+    ),
+    # z = n x^2/(2(1 + y_x)): 4u, and the root y_x's relative error, at most
+    # 1e-14 (TestBaselines); math.exp 2u
+    "gauss_ar_bound": Accuracy(
+        gauss_ar_bound,
+        lambda x, n: min(1, 2 * mpmath.exp(-n * x * x / (2 * (1 + _mp_gauss_root(x))))),
+        _grid((0.05, 0.4, 1.0, 3.0), (1, 10, 100, 500)),
+        lambda x, n, ref: (8 * U + 1e-14)
+        * (1 + n * x * x / (2 * (1 + bounds._gauss_ar_root(x))))
+        * ref,
+    ),
+    # B = q/(2q - 1) is off by 5u, and 1/sqrt(B) by 4.5u
+    "missing_factor_bound[scale]": Accuracy(
+        lambda x, p: missing_factor_bound(x, p)[0],
+        lambda x, p: 1 / mpmath.sqrt((p / (p - 1)) / (2 * p / (p - 1) - 1)),
+        _grid((0.1, 0.5, 1.0, 2.0, 5.0, 20.0), (2.0, 2.5, 3.0, 4.0, 10.0, 100.0)),
+        lambda x, p, ref: 8 * U * ref,
+    ),
+    # C = B^(B/2) 6u, x^(-B) 5u|ln x| + 2u, exp(-x^2/2) u x^2/2 + 2u, the
+    # two products 2u
+    "missing_factor_bound[bound]": Accuracy(
+        lambda x, p: missing_factor_bound(x, p)[1],
+        lambda x, p: min(
+            1,
+            (B := (p / (p - 1)) / (2 * p / (p - 1) - 1)) ** (B / 2)
+            * x ** (-B)
+            * mpmath.exp(-x * x / 2),
+        ),
+        _grid((0.1, 0.5, 1.0, 2.0, 5.0, 20.0), (2.0, 2.5, 3.0, 4.0, 10.0, 100.0)),
+        lambda x, p, ref: 16 * U * (1 + abs(math.log(x)) + x * x / 2) * ref,
+    ),
+    # q = 1 - p u; q q + p q c 8u, squared 18u; p p + p q c 8u; quotient 27u
+    "ar_rate": Accuracy(
+        ar_rate,
+        _mp_ar_rate,
+        _grid(A_WIDE, (1e-100, 1e-3, 0.1, 0.25, 1 / 3, 0.4, 0.5)),
+        lambda a, p, ref: 32 * U * ref,
+    ),
+    # a d(a) 28u; z = n p^2 x^2/(a d(a)) 33u; math.exp 2u
+    "ar_bound": Accuracy(
+        ar_bound,
+        lambda x, n, p, a: min(1, 2 * mpmath.exp(-n * p * p * x * x / (a * _mp_ar_rate(a, p)))),
+        _ar_x_grid(),
+        lambda x, n, p, a, ref: _exp_tol(40, n * p * p * x * x / (a * ar_rate(a, p)), ref),
+    ),
+    # (2n + 1)/(n + 1) (3 + c)/6 8u; (n(1 + c) + 2c)/(n + 1)^2 8u; the sum u
+    "idla_cn": Accuracy(
+        idla_cn,
+        _mp_idla_cn,
+        _grid((1, 2, 3, 10, 100, 10_000, 1_000_000), A_NARROW),
+        lambda n, a, ref: 12 * U * ref,
+    ),
+    # c_n 9u; (n + 2)/(3n) u; the sum u
+    "idla_dn": Accuracy(
+        idla_dn,
+        lambda n, a: _mp_idla_cn(n, a) + (n + 2) / (3 * n),
+        _grid((1, 2, 3, 10, 100, 10_000, 1_000_000), A_NARROW),
+        lambda n, a, ref: 12 * U * ref,
+    ),
+    # z = n x^2/(2a c_n): 13u; math.exp 2u
+    "idla_bounds[scaled]": Accuracy(
+        lambda x, n, a: idla_bounds(x, n, a)[0],
+        lambda x, n, a: min(1, 2 * mpmath.exp(-n * x * x / (2 * a * _mp_idla_cn(n, a)))),
+        _idla_scaled_grid(),
+        lambda x, n, a, ref: _exp_tol(16, n * x * x / (2 * a * idla_cn(n, a)), ref),
+    ),
+    # d_n^(1/3) 0.5u|ln d_n| + 5.4u; x^(-2/3) 0.7u|ln x| + 2u;
+    # exp(-x^2/(3 d_n)) 13u z + 2u; the two products 2u
+    "idla_bounds[sqrt_scaled]": Accuracy(
+        lambda x, n, a: idla_bounds(x, n, a)[1],
+        lambda x, n, a: min(
+            1,
+            (d := _mp_idla_cn(n, a) + (n + 2) / (3 * n)) ** (mpmath.mpf(1) / 3)
+            * x ** (-mpmath.mpf(2) / 3)
+            * mpmath.exp(-x * x / (3 * d)),
+        ),
+        _grid((0.1, 0.5, 1.0, 3.0, 10.0, 30.0), (1, 10, 100, 10_000), (0.13, 1 / 3, 9 / 16)),
+        lambda x, n, a, ref: 16
+        * U
+        * (
+            1
+            + abs(math.log(idla_dn(n, a)))
+            + abs(math.log(x))
+            + x * x / (3 * idla_dn(n, a))
+        )
+        * ref,
+    ),
+    # 1 + c 5u, c c 9u
+    "learning_m": Accuracy(
+        bounds.learning_m,
+        lambda a: max(4 * (1 + _mp_c(a)), _mp_c(a) ** 2) / 2,
+        _grid(A_NARROW),
+        lambda a, ref: 12 * U * ref,
+    ),
+    # 1 + c v 6u; log(delta) 2u; the product and quotient 11u; sqrt 6.5u
+    "learning_threshold": Accuracy(
+        learning_threshold,
+        lambda n, a, delta, v: mpmath.sqrt(
+            -2 * a * (1 + _mp_c(a) * v) * mpmath.log(delta) / n
+        ),
+        _grid(
+            (1, 100, 100_000),
+            (0.13, 1 / 3, 9 / 16),
+            (1e-300, 1e-6, 0.05, 0.2, 0.9, 1 - 2.0**-30, 1.0),
+            (0.0, 0.3, 1.0),
+        ),
+        lambda n, a, delta, v, ref: 8 * U * ref,
+    ),
+    # absolute: B 4u; sqrt(B (1 + c x)) 6.5u; the difference u
+    "learning_phi": Accuracy(
+        learning_phi,
+        lambda x, n, a, delta: x
+        - mpmath.sqrt(_mp_learning_B(n, a, delta) * (1 + _mp_c(a) * x)),
+        _grid((0.0, 0.1, 0.5, 1.0), (100, 10_000), (9 / 55, 1 / 3, 9 / 16), (0.05, 0.2, 0.9)),
+        lambda x, n, a, delta, ref: 8
+        * U
+        * (x + math.sqrt(-2 * a * math.log(delta) / n * (1 + weight_c(a) * x))),
+    ),
+    # B 4u; c B / 2 9u; B (4 + 4 c r + c c B) 20u, its root 11u; the
+    # nonnegative sum 12u
+    "learning_phi_inverse": Accuracy(
+        learning_phi_inverse,
+        lambda r, n, a, delta: r
+        + _mp_c(a) * _mp_learning_B(n, a, delta) / 2
+        + mpmath.sqrt(
+            _mp_learning_B(n, a, delta)
+            * (4 + 4 * _mp_c(a) * r + _mp_c(a) ** 2 * _mp_learning_B(n, a, delta))
+        )
+        / 2,
+        _grid(
+            (0.0, 1e-3, 0.25, 0.5, 1.0),
+            (200, 10_000, 1_000_000),
+            (9 / 55, 1 / 3, 9 / 16),
+            (1e-6, 0.05, 0.2, 0.9),
+        ),
+        lambda r, n, a, delta, ref: 16 * U * ref,
+    ),
+    # L = log(n r + 3) - log(delta), a sum of nonnegatives, 5u; 36 L/n 7u;
+    # sqrt(r L/n) 4.5u; the nonnegative sum 9u
+    "cbg_threshold": Accuracy(
+        cbg_threshold,
+        lambda r, n, delta: r
+        + 36 * (L := mpmath.log(n * r + 3) - mpmath.log(delta)) / n
+        + 2 * mpmath.sqrt(r / n * L),
+        _grid((0.0, 0.01, 0.5, 1.0), (1, 100, 10**6, 10**12), (1e-300, 0.05, 0.2, 1.0)),
+        lambda r, n, delta, ref: 12 * U * ref,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ACCURACY)
+def test_matches_mpmath_within_error_model(name):
+    row = ACCURACY[name]
+    misses = []
+    with mpmath.workdps(50):
+        for point in row.grid:
+            got = row.fn(*point)
+            ref = row.ref(*map(mpmath.mpf, point))
+            if not abs(mpmath.mpf(got) - ref) <= row.tol(*point, float(ref)):
+                misses.append((point, got, float(ref)))
+    assert not misses, f"{len(misses)} of {len(row.grid)} points miss, first {misses[0]}"

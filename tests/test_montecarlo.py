@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from selfnorm import cli, montecarlo, processes
-from selfnorm.bounds import exp_tail_bound
-from selfnorm.martingale import supermartingale_weight
+from selfnorm.bounds import exp_tail_bound, supermartingale_weight
 from selfnorm.montecarlo import (
     CHECKS,
     estimate_expectation,

@@ -11,8 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from selfnorm import montecarlo, processes
-from selfnorm.bounds import weight_c
-from selfnorm.martingale import s_weighted
+from selfnorm.bounds import s_weighted, weight_c
 from selfnorm.processes import (
     AR1Spec,
     IDLASpec,
