@@ -17,36 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ADMISSIBLE_MIN",
-    "TABLE1",
-    "HolderPair",
-    "weight_c",
-    "weight_b",
-    "s_weighted",
-    "supermartingale_weight",
-    "hermite_margin",
-    "pab_discriminant",
-    "exp_tail_bound",
-    "bt2008_bound",
-    "azuma_idla_bound",
-    "gauss_ar_bound",
-    "ratio_tail_bound",
-    "pqv_ratio_bound",
-    "missing_factor_bound",
-    "kearns_saul_phi",
-    "ar_rate",
-    "ar_bound",
-    "idla_cn",
-    "idla_dn",
-    "idla_bounds",
-    "learning_m",
-    "learning_threshold",
-    "learning_phi",
-    "learning_phi_inverse",
-    "cbg_threshold",
-]
-
 # Weights are defined only for a > 1/8.
 ADMISSIBLE_MIN = 0.125
 
@@ -116,7 +86,23 @@ def supermartingale_weight(m, qv, pqv, t: float, a: float):
     """
     b = weight_b(a)
     with np.errstate(over="ignore"):
-        return np.exp(t * m - 0.5 * a * t * t * qv - 0.5 * b * t * t * pqv)
+        return libm_exp(t * m - 0.5 * a * t * t * qv - 0.5 * b * t * t * pqv)
+
+
+def libm_exp(x):
+    """exp with libm's bits (``math.exp``), of a float or of each entry of an
+    array, as numpy's array exp does not round alike on every SIMD path.
+    Past the float range it gives inf."""
+    values = np.ravel(x).tolist()
+    out = np.fromiter(map(_exp_or_inf, values), float, len(values))
+    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

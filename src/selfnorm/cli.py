@@ -22,9 +22,7 @@ from typing import Iterable
 # numpy loads would busy-wait through start-up.  A value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, bounds, montecarlo  # noqa: E402
-from .bounds import TABLE1  # noqa: E402
-from .processes import PROCESSES, ProcessTrace, make_spec, simulate, trace_to_csv  # noqa: E402
+from . import __version__, bounds, montecarlo, processes  # noqa: E402
 
 # numpy and every selfnorm module are loaded now, and all that their
 # imports made is still reachable, so a collection would free none of it.
@@ -41,6 +39,10 @@ DEFAULT_A_GRID = (0.13, 0.2, 1 / 3, 9 / 16, 1.0, 2.0, 10.0)
 WRITE_ROWS = 1024
 
 
+class _RealError(ValueError, argparse.ArgumentTypeError):
+    """A ValueError whose message argparse prints as the reason."""
+
+
 def parse_real(text: str) -> float:
     """Parse a real number, accepting exact rationals like '9/16'."""
     from fractions import Fraction
@@ -48,7 +50,7 @@ def parse_real(text: str) -> float:
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"cannot parse real number {text!r}") from exc
+        raise _RealError(f"cannot parse real number {text!r}") from exc
 
 
 def parse_real_list(text: str) -> list[float]:
@@ -147,10 +149,10 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
                 help="weight functions c(a), b(a)")
     _add_parser(subs, ("hermite",), argv, TABLES["hermite"].flags,
                 help="pointwise inequality margin suite")
-    simulate = subs.add_parser("simulate", help="emit one process trace")
-    processes = simulate.add_subparsers(dest="process", required=True)
-    for name, spec in PROCESSES.items():
-        _add_parser(processes, ("simulate", name), argv, specs=(spec,))
+    sim = subs.add_parser("simulate", help="emit one process trace")
+    sims = sim.add_subparsers(dest="process", required=True)
+    for name, spec in processes.PROCESSES.items():
+        _add_parser(sims, ("simulate", name), argv, specs=(spec,))
     verify = subs.add_parser("verify", help="verify one implemented inequality")
     ids = verify.add_subparsers(dest="inequality", required=True)
     for check_id, check in montecarlo.CHECKS.items():
@@ -158,8 +160,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         if check.process is None:
             _add_parser(ids, path, argv, check.flags)
             continue
-        runs_on = tuple(PROCESSES) if check.any_process else (check.process,)
-        specs = [PROCESSES[p] for p in runs_on]
+        runs_on = tuple(processes.PROCESSES) if check.any_process else (check.process,)
+        specs = [processes.PROCESSES[p] for p in runs_on]
         _add_parser(ids, path, argv, (*check.flags, "reps"), specs, runs_on)
     _add_parser(subs, ("learning-table",), argv, TABLES["learning-table"].flags,
                 help="risk-threshold comparison table")
@@ -266,7 +268,7 @@ def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
 _JSON_TRACE_ROW = '{\n      "m": %r,\n      "pqv": %r,\n      "qv": %r,\n      "step": %d\n    }'
 
 
-def _json_rows(trace: ProcessTrace, lo: int) -> str:
+def _json_rows(trace: processes.ProcessTrace, lo: int) -> str:
     """Rows lo..lo+WRITE_ROWS-1 of a trace's JSON document, after a separator unless lo is 0."""
     hi = lo + WRITE_ROWS
     values = trace.columns(lo, hi)
@@ -279,10 +281,10 @@ def run_simulate(args: argparse.Namespace) -> int:
     """Simulate one trace and write it WRITE_ROWS rows at a time, each block
     rendered by one of montecarlo.fan_out's processes, so the text held at
     once does not grow with the horizon."""
-    spec = make_spec(args.process, args)
-    trace = simulate(spec, args.seed)
+    spec = processes.make_spec(args.process, args)
+    trace = processes.simulate(spec, args.seed)
     if args.format == "csv":
-        head, tail, render = "", "", lambda lo: trace_to_csv(trace, lo, lo + WRITE_ROWS)
+        head, tail, render = "", "", lambda lo: processes.trace_to_csv(trace, lo, lo + WRITE_ROWS)
     else:
         # "rows" sorts after "header", so the placeholder, which json writes
         # as '"ROWS"', is the document's last value
@@ -298,8 +300,8 @@ def _keep_own_fields(args: argparse.Namespace, process: str) -> None:
     """Drop from args every process field that process's spec lacks, and set
     each of its own left unset to the spec's default.  A field of another
     process that is set, by a flag or by --config, raises ValueError."""
-    own = {f.name: f.default for f in fields(PROCESSES[process])}
-    for name in dict.fromkeys(f.name for spec in PROCESSES.values() for f in fields(spec)):
+    own = {f.name: f.default for f in fields(processes.PROCESSES[process])}
+    for name in dict.fromkeys(f.name for s in processes.PROCESSES.values() for f in fields(s)):
         value = vars(args).pop(name)
         if name in own:
             setattr(args, name, own[name] if value is None else value)
@@ -323,8 +325,10 @@ def run_check(args: argparse.Namespace, check: montecarlo.Check) -> int:
 
 
 def _weights_grid(run) -> list[float]:
+    if run.table1 and run.a_list is not None:
+        raise ValueError("--table1 and --a cannot be used together")
     if run.table1:
-        return [a for a, _ in TABLE1]
+        return [a for a, _ in bounds.TABLE1]
     return run.a_list if run.a_list is not None else [1 / 3]
 
 

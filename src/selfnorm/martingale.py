@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accumulate"]
-
 
 def accumulate(increments, cond_second_moments) -> np.ndarray:
     """M_k, [M]_k and <M>_k for k = 0..n, as the rows of one (3, n+1) array,

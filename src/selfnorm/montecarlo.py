@@ -32,25 +32,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import bounds, processes
-from .processes import (
-    ProcessSpec,
-    idla_exact_moments,
-    make_spec,
-    require_finite,
-)
-
-__all__ = [
-    "CHUNK",
-    "hoeffding_epsilon",
-    "summarize_indicators",
-    "fan_out",
-    "simulate_finals",
-    "event_indicator",
-    "estimate_expectation",
-    "Check",
-    "CHECKS",
-    "verify",
-]
 
 # Replicates per simulation chunk, shared by the W processes that run a
 # simulate_finals call, each stepping CHUNK // W at a time.  CHUNK bounds the
@@ -100,7 +81,7 @@ def _cpus() -> int:
 
 def _workers(n_samples: int) -> int:
     """One process per usable CPU, at most one per group of 64 replicates."""
-    return max(1, min(_cpus(), n_samples // processes._GROUP))
+    return max(1, min(_cpus(), n_samples // processes.GROUP))
 
 
 def _serve(fds: tuple[int, int], work: Callable, items: Sequence):
@@ -167,14 +148,16 @@ def fan_out(work: Callable, items: Sequence) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, np.ndarray]:
+def simulate_finals(
+    spec: processes.ProcessSpec, seed: int, n_samples: int
+) -> dict[str, np.ndarray]:
     """End-of-horizon summaries for n_samples replicates in replicate order,
     from stripes of whole 64-replicate groups (see the module docstring).
 
     A non-finite summary (an overflowed or 0/0 statistic) is a configuration
     error, never a sample: it raises ValueError naming each such key.
     """
-    w, group = _workers(n_samples), processes._GROUP
+    w, group = _workers(n_samples), processes.GROUP
     cuts = [n_samples * i // w // group * group for i in range(w)] + [n_samples]
     step = max(1, CHUNK // w)
 
@@ -185,7 +168,7 @@ def simulate_finals(spec: ProcessSpec, seed: int, n_samples: int) -> dict[str, n
 
     parts = [part for chunks in fan_out(stripe, list(zip(cuts, cuts[1:]))) for part in chunks]
     out = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-    require_finite(out, f"finals of {spec} over {n_samples} replicates")
+    processes.require_finite(out, f"finals of {spec} over {n_samples} replicates")
     return out
 
 
@@ -291,7 +274,7 @@ def _mart_missing(run, x: float) -> np.ndarray:
     f = run.finals
     hp = bounds.HolderPair.make(2.0)
     s = bounds.s_weighted(f["qv"], f["pqv"], run.a)
-    denom = np.sqrt(run.a * s + idla_exact_moments(run.spec.n)[1])
+    denom = np.sqrt(run.a * s + processes.idla_exact_moments(run.spec.n)[1])
     return np.abs(f["m"]) >= x / math.sqrt(hp.B) * denom
 
 
@@ -361,7 +344,7 @@ def _ar_laplace_row(run, divisor: float) -> dict:
         raise ValueError(
             f"p is too small for the ar-laplace check: t = {t}, bound = {rhs} at p = {spec.p}"
         )
-    est = estimate_expectation(np.exp(t * run.finals["pqv"]))
+    est = estimate_expectation(bounds.libm_exp(t * run.finals["pqv"]))
     rel_se = est["mc_se"] / est["mc_mean"] if est["mc_mean"] > 0 else 0.0
     ok = est["mc_mean"] <= rhs * (1.0 + 3.0 * rel_se)
     return {"t": t, **est, "bound": rhs, "satisfied": ok}
@@ -497,7 +480,7 @@ def verify(check: Check, params) -> list[dict]:
         if reps < MIN_REPS:
             raise ValueError(f"reps must be at least {MIN_REPS}, got {reps}")
         run.process = getattr(params, "process", None) or check.process
-        run.spec = make_spec(run.process, params)
+        run.spec = processes.make_spec(run.process, params)
         run.finals = simulate_finals(run.spec, params.seed, reps)
         if check.prepare is not None:
             check.prepare(run)

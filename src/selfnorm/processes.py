@@ -12,8 +12,10 @@ pqv.  Both use only operations that round the same way on floats and on
 arrays: +, -, *, /, comparisons, ``abs``, clipping (``_clip01``) and sqrt
 (``_sqrt``).  So the same definition works on Python floats or on arrays,
 with the same bits; numpy's array ``exp``, ``log1p`` and ``**`` do not
-always round as libm's float results do.  IDLA's step compares its uniform
-against ``IDLASpec.up``, the one definition of its up-probability.
+always round as libm's float results do, nor alike on every SIMD path, so a
+row value takes an array exp from ``bounds.libm_exp``, which gives libm's.
+IDLA's step compares its uniform against ``IDLASpec.up``, the one
+definition of its up-probability.
 
 Two drivers run the steps.  :func:`finals` advances a block of replicates
 and keeps running totals of the increments, their squares, the conditional
@@ -63,34 +65,11 @@ TILE = 256
 
 # Replicates that share a Philox key, their runs adjacent within each tile.
 # Part of the stream definition.
-_GROUP = 64
+GROUP = 64
 
 # Each thread's Philox, Generator and state dict, built by uniform_rows on
 # first use; it assigns the whole state before every draw.
 _philox = threading.local()
-
-__all__ = [
-    "AR1Spec",
-    "IDLASpec",
-    "LearnSpec",
-    "PROCESSES",
-    "TILE",
-    "make_spec",
-    "require_finite",
-    "ProcessTrace",
-    "finals",
-    "simulate",
-    "ar1_simulate",
-    "idla_simulate",
-    "learning_simulate",
-    "idla_exact_moments",
-    "true_risk",
-    "trace_to_csv",
-    "uniform_rows",
-    "ar1_finals",
-    "idla_finals",
-    "learning_finals",
-]
 
 
 @dataclass(frozen=True)
@@ -295,7 +274,7 @@ def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0
     if col_lo < 0 or col_lo % TILE:
         raise ValueError(f"col_lo must be a non-negative multiple of TILE = {TILE}, got {col_lo}")
     out = np.empty((rep_hi - rep_lo, cols), order="F")
-    block = np.empty(_GROUP * 4 * -(-min(TILE, cols) // 4))
+    block = np.empty(GROUP * 4 * -(-min(TILE, cols) // 4))
     if not hasattr(_philox, "draws"):
         bitgen = np.random.Philox(key=[0, 0])
         # read, as its name must match the class; fields set as lists, which
@@ -310,9 +289,9 @@ def uniform_rows(seed: int, rep_lo: int, rep_hi: int, cols: int, col_lo: int = 0
         w = min(TILE, cols - lo)
         q = -(-w // 4)
         counter[1] = (col_lo + lo) // TILE
-        for group_lo in range(rep_lo - rep_lo % _GROUP, rep_hi, _GROUP):
-            first, last = max(rep_lo, group_lo), min(rep_hi, group_lo + _GROUP)
-            key[1] = group_lo // _GROUP
+        for group_lo in range(rep_lo - rep_lo % GROUP, rep_hi, GROUP):
+            first, last = max(rep_lo, group_lo), min(rep_hi, group_lo + GROUP)
+            key[1] = group_lo // GROUP
             counter[0] = (first - group_lo) * q
             # the assignment also empties the buffer and the cached half-word
             bitgen.state = state

@@ -185,6 +185,9 @@ CASES = [
     Case(("simulate", "idla", "--n", "3"), config={"n": "ten"}),
     Case(("simulate", "idla", "--n", "3"), config={"format": "xml"}),
     Case(("weights",), config={"table1": "yes"}),
+    # Table 1 is a fixed grid of a, which --a would replace
+    Case(("weights", "--table1", "--a", "0.3")),
+    Case(("weights", "--a", "0.3"), config={"table1": True}),
     Case(("verify", "ar-estimator", "--theta", "3", "--n", "1000", "--reps", "200")),
     # c(a) falls as a grows: at a = 0.6 the level c(a)<M>_n - [M]_n is not positive
     Case(("verify", "pqv-ratio", "--a", "0.6", "--n", "30", "--reps", "200", "--seed", "3")),
@@ -201,6 +204,9 @@ CASES = [
     Case(("verify", "idla-sqrt", "--x-grid", ",")),
     Case(("learning-table", "--r-grid", ",")),
     Case(("weights", "--a", ",")),
+    # a value that is no real number is refused with that reason
+    Case(("verify", "idla-scaled", "--x-grid", "nan")),
+    Case(("hermite", "--x-max", "nan")),
     # levels at the edge of the floats: the Gaussian AR root past the
     # spacing of x^2, a discriminant of order a^2, b(a) rounded to 1/2, and
     # thresholds that overflow to inf

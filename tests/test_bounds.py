@@ -184,6 +184,16 @@ class TestSupermartingaleWeight:
         assert self.weight(path, t, 1 / 3, 2) == pytest.approx(float(expected), rel=1e-12)
 
 
+def test_libm_exp_gives_math_exp_bits():
+    # of a float, or of each entry of an array in its shape; inf past the
+    # float range, where math.exp raises
+    x = np.array([[-800.0, -1.0, 0.0], [0.3, 709.78, 710.0]])
+    expected = [[math.exp(v) if v < 710.0 else math.inf for v in row] for row in x.tolist()]
+    assert bounds.libm_exp(x).tolist() == expected
+    assert bounds.libm_exp(0.3) == math.exp(0.3)
+    assert bounds.libm_exp(1e4) == math.inf
+
+
 def test_array_forms_equal_float_forms():
     # one definition: on an array, each formula gives bit for bit what it
     # gives on each element as a Python float

@@ -15,7 +15,7 @@ import pytest
 from selfnorm import __version__, cli
 from selfnorm.cli import main, parse_real, parse_real_list
 from selfnorm.bounds import TABLE1
-from selfnorm import montecarlo
+from selfnorm import montecarlo, processes
 from selfnorm.processes import PROCESSES, make_spec, simulate
 from selfnorm.montecarlo import CHECKS
 
@@ -74,6 +74,16 @@ class TestWeights:
     def test_bad_flag_exits_2(self, capsys):
         code, _ = run(capsys, "weights", "--no-such-flag")
         assert code == 2
+
+    def test_table1_refuses_a(self, capsys, tmp_path):
+        # Table 1 is a fixed grid of a, which --a, by flag or by config, would replace
+        config = tmp_path / "config.json"
+        config.write_text('{"table1": true}')
+        for argv in (["--table1", "--a", "0.3"], ["--a", "0.3", "--config", str(config)]):
+            code = main(["weights", *argv])
+            captured = capsys.readouterr()
+            assert_one_error_line(code, captured)
+            assert captured.err == "error: --table1 and --a cannot be used together\n"
 
 
 class TestHermite:
@@ -266,7 +276,7 @@ def refused_before_simulating(capsys, monkeypatch, argv):
     """Run argv with the simulators replaced; check that it exits 2 with one
     error: line and simulated nothing, and return that line."""
     calls = []
-    monkeypatch.setattr(cli, "simulate", lambda *a: calls.append(a))
+    monkeypatch.setattr(processes, "simulate", lambda *a: calls.append(a))
     monkeypatch.setattr(montecarlo, "simulate_finals", lambda *a: calls.append(a))
     code = main(argv)
     captured = capsys.readouterr()
@@ -827,7 +837,7 @@ def test_bare_memory_error_exits_2(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "simulate", fail)
+    monkeypatch.setattr(processes, "simulate", fail)
     code = main(["simulate", "ar1", "--n", "8"])
     captured = capsys.readouterr()
     assert_one_error_line(code, captured)
@@ -926,7 +936,7 @@ class TestSimulateStreaming:
             tracemalloc.reset_peak()
             return trace
 
-        monkeypatch.setattr(cli, "simulate", simulate_and_mark)
+        monkeypatch.setattr(processes, "simulate", simulate_and_mark)
         extra = []
         for tiles in (1, 4, 40):  # the first run takes one-time allocations
             argv = ["simulate", "ar1", "--n", str(tiles * cli.WRITE_ROWS), "--format", fmt]
@@ -956,6 +966,19 @@ def test_empty_list_flag_keeps_its_reason(capsys, argv, flag):
     captured = capsys.readouterr()
     assert_one_error_line(code, captured)
     assert captured.err == f"error: argument {flag}: no numbers in list ','\n"
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["verify", "idla-scaled", "--x-grid", "nan"], "--x-grid", "nan"),
+    (["verify", "learn-threshold", "--delta", "nan"], "--delta", "nan"),
+    (["verify", "ar-laplace", "--p", "1/0"], "--p", "1/0"),
+    (["hermite", "--x-max", "nan"], "--x-max", "nan"),
+])
+def test_bad_real_flag_keeps_its_reason(capsys, argv, flag, value):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err == f"error: argument {flag}: cannot parse real number {value!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -1026,14 +1049,14 @@ class TestRenderFanOut:
         """Make every block that a child renders, an odd one of two
         processes, raise exc."""
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
-        trace_to_csv = cli.trace_to_csv
+        trace_to_csv = processes.trace_to_csv
 
         def failing(trace, lo, hi):
             if lo // cli.WRITE_ROWS % 2:
                 raise exc
             return trace_to_csv(trace, lo, hi)
 
-        monkeypatch.setattr(cli, "trace_to_csv", failing)
+        monkeypatch.setattr(processes, "trace_to_csv", failing)
 
     def test_child_memory_error_exits_2_with_one_line(self, capsys, monkeypatch):
         self.fail_in_children(monkeypatch, MemoryError("no room"))

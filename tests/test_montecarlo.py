@@ -270,7 +270,7 @@ class TestWorkers:
     def test_non_finite_values_keep_their_positions(self, monkeypatch):
         # an explosive AR(1) overflows to inf and then NaN; with the check
         # off, every worker count sends back the same bits
-        monkeypatch.setattr(montecarlo, "require_finite", lambda arrays, what: None)
+        monkeypatch.setattr(processes, "require_finite", lambda arrays, what: None)
         spec = AR1Spec(theta=3.0, n=1000)
         whole = processes.finals(spec, 5, 0, 200)
         assert np.isnan(whole["theta_hat"]).any()
