@@ -13,7 +13,6 @@ many replicates as arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,28 +102,6 @@ def _exp_or_inf(v: float) -> float:
         return math.exp(v)
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class HolderPair:
-    """Moment order p with its Holder conjugate q and derived constants.
-
-    B = q/(2q-1) and C = B**(B/2); for p in [2, inf), q in (1, 2] so
-    B in [2/3, 1) and C in (0, 1].
-    """
-
-    p: float
-    q: float
-    B: float
-    C: float
-
-    @classmethod
-    def make(cls, p: float) -> "HolderPair":
-        if p < 2.0:
-            raise ValueError(f"moment order p must be >= 2, got {p}")
-        q = p / (p - 1.0)
-        B = q / (2.0 * q - 1.0)
-        return cls(p=p, q=q, B=B, C=B ** (B / 2.0))
 
 
 def hermite_margin(x, a: float):
@@ -263,7 +240,9 @@ def gauss_ar_bound(x: float, n: int) -> float:
 
 
 def missing_factor_bound(x: float, p: float) -> tuple[float, float]:
-    """Variation-free bound with the polynomial missing factor.
+    """Variation-free bound with the polynomial missing factor, for the
+    moment order p >= 2 with Holder conjugate q = p/(p-1), B_q = q/(2q-1)
+    and C_q = B_q^(B_q/2).
 
     Returns (threshold_scale, bound) where the deviation level is
     x * threshold_scale = x / sqrt(B_q) and the tail probability is
@@ -271,9 +250,11 @@ def missing_factor_bound(x: float, p: float) -> tuple[float, float]:
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
-    hp = HolderPair.make(p)
-    bound = _cap(hp.C * x ** (-hp.B) * math.exp(-0.5 * x * x))
-    return 1.0 / math.sqrt(hp.B), bound
+    if p < 2.0:
+        raise ValueError(f"moment order p must be >= 2, got {p}")
+    q = p / (p - 1.0)
+    B = q / (2.0 * q - 1.0)
+    return 1.0 / math.sqrt(B), _cap(B ** (B / 2.0) * x ** (-B) * math.exp(-0.5 * x * x))
 
 
 def kearns_saul_phi(p: float) -> float:

@@ -110,12 +110,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_parser(subs, path: tuple[str, ...], argv, dests=(), specs=(), runs_on=(), **kw) -> None:
+def _add_parser(
+    subs, path: tuple[str, ...], argv, dests=(), specs=(), runs_on=(), process=None, **kw
+) -> None:
     """Register the leaf parser at path under its last name.  When argv is
     None or begins with path, give it its flags: the _FLAGS of dests, --seed
     and --<field> per field of the specs when any are given (None by default
     when several are, as the process is chosen after parsing), the output
-    flags, and --process when runs_on names the processes it can run."""
+    flags, and --process, default process, when runs_on names its choices."""
     sub = subs.add_parser(path[-1], **kw)
     if argv is not None and argv[: len(path)] != list(path):
         return
@@ -133,7 +135,7 @@ def _add_parser(subs, path: tuple[str, ...], argv, dests=(), specs=(), runs_on=(
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults")
     if runs_on:
-        sub.add_argument("--process", choices=runs_on, default=None)
+        sub.add_argument("--process", choices=runs_on, default=process)
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -162,7 +164,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
             continue
         runs_on = tuple(processes.PROCESSES) if check.any_process else (check.process,)
         specs = [processes.PROCESSES[p] for p in runs_on]
-        _add_parser(ids, path, argv, (*check.flags, "reps"), specs, runs_on)
+        _add_parser(ids, path, argv, (*check.flags, "reps"), specs, runs_on, check.process)
     _add_parser(subs, ("learning-table",), argv, TABLES["learning-table"].flags,
                 help="risk-threshold comparison table")
     return parser
@@ -313,9 +315,6 @@ def _keep_own_fields(args: argparse.Namespace, process: str) -> None:
 def run_check(args: argparse.Namespace, check: montecarlo.Check) -> int:
     """Evaluate a verify id's or a TABLES entry and emit its rows.  Exit 1
     exactly when some row's satisfied is False."""
-    if check.process is not None:
-        # the JSON header names the process that runs
-        args.process = args.process or check.process
     if check.any_process:
         # this id's parser takes the fields of every process, each unset as None
         _keep_own_fields(args, args.process)
@@ -374,9 +373,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_check(args, montecarlo.CHECKS[args.inequality])
         return run_check(args, TABLES[args.command])
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 2 if code not in (0,) else 0
+    except SystemExit:
+        # only --help and --version exit: a usage error raises ValueError
+        return 0
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -272,10 +272,9 @@ def _mart_pqv_ratio(run, x: float) -> np.ndarray:
 def _mart_missing(run, x: float) -> np.ndarray:
     """|M_n|/sqrt(a S_n(a) + E[M_n^2]) >= x/sqrt(B_2), on IDLA's exact E[M_n^2]."""
     f = run.finals
-    hp = bounds.HolderPair.make(2.0)
     s = bounds.s_weighted(f["qv"], f["pqv"], run.a)
     denom = np.sqrt(run.a * s + processes.idla_exact_moments(run.spec.n)[1])
-    return np.abs(f["m"]) >= x / math.sqrt(hp.B) * denom
+    return np.abs(f["m"]) >= x * bounds.missing_factor_bound(x, 2.0)[0] * denom
 
 
 def _learn_cover(run, delta: float) -> np.ndarray:

@@ -398,8 +398,6 @@ def _running(spec: ProcessSpec, states: np.ndarray, u: np.ndarray, k0: int, carr
     with np.errstate(over="ignore", invalid="ignore"):
         # u.T[j] holds uniform j of every step
         _, inc, csm, terms = spec.step(states[k0:k1], u.T, np.arange(k0 + 1, k1 + 1))
-        if np.any(csm < 0.0):
-            raise ValueError("conditional second moments must be nonnegative")
         table[:, 1:] = (inc, inc * inc, csm, *terms)
         return np.cumsum(table, axis=1, out=table)
 

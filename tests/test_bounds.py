@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from selfnorm import bounds
 from selfnorm.bounds import (
     TABLE1,
-    HolderPair,
     ar_bound,
     ar_rate,
     azuma_idla_bound,
@@ -399,17 +398,31 @@ class TestMissingFactor:
         assert scale == pytest.approx(math.sqrt(1.5), abs=1e-15)
         assert bound == pytest.approx((2 / 3) ** (1 / 3) * math.exp(-0.5), abs=1e-12)
 
+    @staticmethod
+    def constants(p):
+        """B_q and C_q of order p: B = scale^-2, and C = the bound at x = 1
+        times e^(1/2), as C x^(-B) e^(-x^2/2) <= 1 there."""
+        scale, bound = missing_factor_bound(1.0, p)
+        return scale**-2, bound * math.exp(0.5)
+
     def test_holder_pair(self):
-        hp = HolderPair.make(2.0)
-        assert hp.q == 2.0
-        assert hp.B == pytest.approx(2 / 3, abs=1e-15)
-        assert hp.C == pytest.approx(0.8735804647362989, abs=1e-12)
-        assert abs(1 / hp.p + 1 / hp.q - 1.0) < 1e-15
+        B, C = self.constants(2.0)
+        assert B == pytest.approx(2 / 3, abs=1e-15)
+        assert C == pytest.approx(0.8735804647362989, abs=1e-12)
+        for p in (2.0, 10.0, 100.0):
+            B, C = self.constants(p)
+            assert B == pytest.approx(p / (p + 1.0), abs=1e-15)
+            assert C == pytest.approx(B ** (B / 2.0), abs=1e-12)
+            # B = q/(2q - 1) gives back q = B/(2B - 1), the Holder conjugate of p
+            q = B / (2.0 * B - 1.0)
+            assert q == pytest.approx(p / (p - 1.0), abs=1e-15)
+            assert abs(1 / p + 1 / q - 1.0) < 1e-15
 
     def test_limit_direction(self):
-        h10, h100 = HolderPair.make(10.0), HolderPair.make(100.0)
-        assert 2 / 3 <= h10.B < h100.B < 1.0
-        assert h10.C < h100.C < 1.0
+        (B2, C2), (B10, C10), (B100, C100) = map(self.constants, (2.0, 10.0, 100.0))
+        assert 2 / 3 <= B10 < B100 < 1.0
+        assert C10 < C100 < 1.0
+        assert B2 < B10 and C2 < C10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -674,6 +687,11 @@ A_WIDE = (0.13, 9 / 55, 1 / 3, 9 / 16, 3.0, 1e3)
 A_TAIL = (0.13, 1 / 3, 9 / 16, 3.0)
 A_NARROW = (0.13, 9 / 55, 4 / 21, 9 / 40, 25 / 96, 1 / 3, 0.5, 9 / 16)
 S_VALUES = (0.0, 1e-300, 0.7, 3.0, 12.5, 1e5, 1e200)
+# log-spaced from the first double above 1/8, and the Table 1 points
+A_WEIGHTS = (
+    *np.geomspace(math.nextafter(0.125, 1.0), 1e12, 400).tolist(),
+    *(a for a, _ in TABLE1),
+)
 
 
 def _exp_tol(ulps, z, ref):
@@ -693,6 +711,15 @@ class Accuracy:
 
 
 ACCURACY = {
+    # F = 1 + 2a/(a + s) with s = sqrt(a(a + 1)): a(a + 1) 2u, s 2u (half of
+    # that and its own rounding), a + s 3u, 2a/(a + s) 4u, F 5u.  8a is exact
+    # and 8a - 1 rounds once, u; c = 2F/(8a - 1) 7u
+    "weight_c": Accuracy(weight_c, _mp_c, _grid(A_WEIGHTS), lambda a, ref: 8 * U * ref),
+    # 2a F 6u; b = 2a F/(8a - 1) 8u.  max(1/2, .) replaces it only when it
+    # rounds under 1/2 < b(a), which moves it toward b(a)
+    "weight_b": Accuracy(
+        weight_b, lambda a: a * _mp_c(a), _grid(A_WEIGHTS), lambda a, ref: 12 * U * ref
+    ),
     # qv + c pqv: c 4u, the product u, a sum of nonnegatives u
     "s_weighted": Accuracy(
         s_weighted,

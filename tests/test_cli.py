@@ -500,6 +500,25 @@ def test_any_process_header_has_the_process_fields(capsys, process):
     }
 
 
+@pytest.mark.parametrize(
+    "check_id", [check_id for check_id, check in CHECKS.items() if check.process is not None]
+)
+def test_parser_states_the_process_default(tmp_path, check_id):
+    # without --process the parser gives the entry's own process, which for
+    # an id that runs on any process is not the first of its choices
+    check = CHECKS[check_id]
+    argv = ["verify", check_id]
+    assert cli.build_parser(argv).parse_args(argv).process == check.process
+    # --process given, or set by --config, wins; and the flag wins over the config
+    cfg = tmp_path / "cfg.json"
+    for process in ALL_PROCESSES if check.any_process else (check.process,):
+        assert cli._parse_args([*argv, "--process", process]).process == process
+        cfg.write_text(json.dumps({"process": process}))
+        assert cli._parse_args([*argv, "--config", str(cfg)]).process == process
+        flagged = [*argv, "--process", check.process, "--config", str(cfg)]
+        assert cli._parse_args(flagged).process == check.process
+
+
 @pytest.mark.parametrize("command", ["weights", "hermite", "learning-table"])
 def test_seedless_command_ignores_seed_variable(monkeypatch, capsys, command):
     # only simulate and verify draw random numbers, so only they read it
